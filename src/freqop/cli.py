@@ -2,25 +2,31 @@
 
 Data goes to stdout (CSV by default, JSON on request), diagnostics to
 stderr. Exit codes: 0 all checks passed, 1 a verification failed, 2
-malformed input. Floats in CSV carry 17 significant digits, so values
-round-trip exactly.
+malformed input, 3 an internal error (traceback on stderr). Floats in CSV
+carry 17 significant digits, so values round-trip exactly. ``converge`` and
+``sample`` share the preparation options ``--state FILE`` or ``--amps``
+(exactly one), ``--normalize`` and ``--basis FILE``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import functools
+import itertools
 import json
 import math
 import sys
+import traceback
 
 import click
 import numpy as np
 
 from . import io
 from .frequency import VERIFY_TOL, FrequencySpec, deviation_norm
-from .hilbert import StateVector, UnitaryMatrix
-from .oracle import MATRIX_CAP, dense_frequency_matrix
-from .sampling import sample_ensemble
+from .hilbert import StateVector
+from .oracle import dense_frequency_matrix
+from .sampling import max_abs_z, sample_ensemble
 from .scenarios import epr_check, wigner_friend_check
 from .sequential import SequentialSpec, succession_frequency, succession_probabilities
 from .verify import DEFAULT_SEED, run_all
@@ -32,15 +38,37 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _emit_csv(header: list[str], rows: list[list]) -> None:
-    w = csv.writer(sys.stdout)
-    w.writerow(header)
-    for row in rows:
-        w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+def _emit(fmt: str, header: list[str], rows: list[list], payload: dict) -> None:
+    """Write ``rows`` under ``header`` as CSV, or ``payload`` as versioned JSON."""
+    if fmt == "csv":
+        w = csv.writer(sys.stdout)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+    else:
+        click.echo(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
 
 
-def _emit_json(payload: dict) -> None:
-    click.echo(json.dumps(payload, indent=2))
+def _table(fmt: str, command: str, header: list[str], rows: list[list], **fields) -> None:
+    """Emit a table whose JSON form is ``{"command", **fields, "rows": [...]}``."""
+    records = [dict(zip(header, row)) for row in rows]
+    _emit(fmt, header, rows, {"command": command, **fields, "rows": records})
+
+
+def _verdict(line: str, ok: bool) -> None:
+    """Write the summary ``line`` to stderr; exit 1 when the check failed."""
+    click.echo(line, err=True)
+    if not ok:
+        sys.exit(1)
+
+
+@contextlib.contextmanager
+def _usage_errors():
+    """Report a ``ValueError`` or ``OSError`` from reading input as exit 2."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -62,26 +90,6 @@ def _parse_amps(text: str) -> list[complex]:
     return [_parse_complex(e, f"--amps entry {i}") for i, e in enumerate(entries)]
 
 
-def _load_state(state_path: str | None, amps: str | None, normalize: bool) -> StateVector:
-    if (state_path is None) == (amps is None):
-        raise click.UsageError("provide exactly one of --state or --amps")
-    try:
-        if state_path is not None:
-            return io.load_state(state_path, normalize=normalize)
-        return StateVector(_parse_amps(amps), normalize=normalize)
-    except (ValueError, OSError) as exc:
-        raise click.UsageError(str(exc))
-
-
-def _load_basis(path: str | None) -> UnitaryMatrix | None:
-    if path is None:
-        return None
-    try:
-        return io.load_unitary(path)
-    except (ValueError, OSError) as exc:
-        raise click.UsageError(str(exc))
-
-
 def _parse_ns(text: str) -> list[int]:
     try:
         ns = [int(x) for x in text.split(",") if x.strip()]
@@ -90,6 +98,31 @@ def _parse_ns(text: str) -> list[int]:
     if not ns or any(n < 1 for n in ns):
         raise click.UsageError("--ns needs at least one positive integer")
     return ns
+
+
+def _preparation(command):
+    """Add the options ``converge`` and ``sample`` share to prepare a state.
+
+    The command is called with the loaded state ``s`` and measurement
+    ``basis`` (None for the standard basis) in place of those options.
+    """
+    @click.option("--state", "state_path", type=click.Path(), help="State JSON file.")
+    @click.option("--amps", help='Inline amplitudes "re,im;re,im;...".')
+    @click.option("--normalize", is_flag=True, help="Rescale the input to unit norm.")
+    @click.option("--basis", "basis_path", type=click.Path(),
+                  help="Measurement basis as a unitary matrix JSON file.")
+    @functools.wraps(command)
+    def load(state_path, amps, normalize, basis_path, **kwargs):
+        if (state_path is None) == (amps is None):
+            raise click.UsageError("provide exactly one of --state or --amps")
+        with _usage_errors():
+            if state_path is not None:
+                s = io.load_state(state_path, normalize=normalize)
+            else:
+                s = StateVector(_parse_amps(amps), normalize=normalize)
+            basis = None if basis_path is None else io.load_unitary(basis_path)
+        return command(s=s, basis=basis, **kwargs)
+    return load
 
 
 format_option = click.option(
@@ -102,7 +135,17 @@ format_option = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    def main(self, *args, **kwargs):
+        """Run a command; an exception it does not handle exits 3, not 1."""
+        try:
+            return super().main(*args, **kwargs)
+        except Exception:
+            click.echo(traceback.format_exc(), err=True, nl=False)
+            sys.exit(3)
+
+
+@click.group(cls=_Group)
 def main():
     """Frequency-operator verification toolkit.
 
@@ -113,18 +156,14 @@ def main():
 
 
 @main.command()
-@click.option("--state", "state_path", type=click.Path(), help="State JSON file.")
-@click.option("--amps", help='Inline amplitudes "re,im;re,im;...".')
-@click.option("--normalize", is_flag=True, help="Rescale the input to unit norm.")
+@_preparation
 @click.option("--k", type=int, required=True, help="Counted outcome index.")
 @click.option("--ns", default="1,4,16,64", show_default=True,
               help="Comma-separated ensemble sizes.")
-@click.option("--basis", "basis_path", type=click.Path(),
-              help="Measurement basis as a unitary matrix JSON file.")
 @click.option("--tolerance", type=float, default=VERIFY_TOL, show_default=True,
               help="Absolute tolerance on the squared-deviation identity.")
 @format_option
-def converge(state_path, amps, normalize, k, ns, basis_path, tolerance, fmt):
+def converge(s, basis, k, ns, tolerance, fmt):
     """Deviation-identity table over ensemble sizes.
 
     Example: freqop converge --amps "0.70710678,0;0.70710678,0" --k 0
@@ -134,45 +173,28 @@ def converge(state_path, amps, normalize, k, ns, basis_path, tolerance, fmt):
     their squared-value mismatch. Exits 1 when a mismatch exceeds the
     tolerance.
     """
-    s = _load_state(state_path, amps, normalize)
-    basis = _load_basis(basis_path)
     sizes = _parse_ns(ns)
-    try:
+    with _usage_errors():
         reports = [
             deviation_norm(FrequencySpec(k, n, basis), s) for n in sizes
         ]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    rows = []
-    worst = 0.0
-    for rep in reports:
-        abs_error = abs(rep.deviation_exact**2 - rep.deviation_closed**2)
-        worst = max(worst, abs_error)
-        rows.append([
-            rep.n_slots, float(rep.p), float(rep.deviation_exact),
-            float(rep.deviation_closed), float(abs_error),
-            float(rep.applied_norm**2),
-        ])
+    rows = [
+        [rep.n_slots, float(rep.p), float(rep.deviation_exact),
+         float(rep.deviation_closed),
+         float(abs(rep.deviation_exact**2 - rep.deviation_closed**2)),
+         float(rep.applied_norm**2)]
+        for rep in reports
+    ]
+    worst = max(0.0, *(row[4] for row in rows))
     header = ["N", "p", "deviation_exact", "deviation_closed", "abs_error",
               "norm_fN_sq"]
-    if fmt == "csv":
-        _emit_csv(header, rows)
-    else:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "converge",
-            "k": k,
-            "tolerance": tolerance,
-            "rows": [dict(zip(header, row)) for row in rows],
-        })
+    _table(fmt, "converge", header, rows, k=k, tolerance=tolerance)
     ok = worst <= tolerance
-    click.echo(
+    _verdict(
         f"converge: worst |deviation^2 - closed^2| = {worst:.3g} "
         f"({'pass' if ok else 'FAIL'} at {tolerance:g})",
-        err=True,
+        ok,
     )
-    if not ok:
-        sys.exit(1)
 
 
 @main.command()
@@ -190,42 +212,22 @@ def spectrum(dim, slots, k, tolerance, fmt):
     Every eigenvalue must sit on the grid {0, 1/N, ..., 1}; exits 1
     otherwise. Sizes with d**N above the dense-matrix cap are rejected.
     """
-    try:
-        if dim**slots > MATRIX_CAP:
-            raise ValueError(
-                f"d**N = {dim**slots} exceeds the dense-matrix cap {MATRIX_CAP}"
-            )
+    with _usage_errors():
         mat = dense_frequency_matrix(k, slots, dim)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     eigs = np.linalg.eigvalsh(mat)
     rows = []
-    worst = 0.0
     for i, lam in enumerate(eigs):
         nearest = round(float(lam) * slots) / slots
-        err = abs(float(lam) - nearest)
-        worst = max(worst, err)
-        rows.append([i, float(lam), float(nearest), float(err)])
+        rows.append([i, float(lam), float(nearest), abs(float(lam) - nearest)])
+    worst = max(0.0, *(row[3] for row in rows))
     header = ["index", "eigenvalue", "nearest_grid", "abs_error"]
-    if fmt == "csv":
-        _emit_csv(header, rows)
-    else:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "spectrum",
-            "dim": dim,
-            "slots": slots,
-            "k": k,
-            "rows": [dict(zip(header, row)) for row in rows],
-        })
+    _table(fmt, "spectrum", header, rows, dim=dim, slots=slots, k=k)
     ok = worst <= tolerance
-    click.echo(
+    _verdict(
         f"spectrum: worst off-grid distance = {worst:.3g} "
         f"({'pass' if ok else 'FAIL'} at {tolerance:g})",
-        err=True,
+        ok,
     )
-    if not ok:
-        sys.exit(1)
 
 
 @main.command()
@@ -248,11 +250,9 @@ def sequential(h_path, dt, m, n, successions, tolerance, fmt):
     successions, and the completeness error of the full q distribution.
     Exits 1 when the identity or completeness fails the tolerance.
     """
-    try:
+    with _usage_errors():
         h = io.load_hermitian(h_path)
         spec = SequentialSpec(h, dt, m, n, successions)
-    except (ValueError, OSError) as exc:
-        raise click.UsageError(str(exc))
     rep = succession_frequency(spec)
     q_all = succession_probabilities(h, dt, m)
     abs_error = abs(rep.deviation_exact**2 - rep.deviation_closed**2)
@@ -261,32 +261,22 @@ def sequential(h_path, dt, m, n, successions, tolerance, fmt):
               "abs_error", "prob_sum_error"]
     row = [successions, float(rep.p), float(rep.deviation_exact),
            float(rep.deviation_closed), float(abs_error), float(prob_sum_error)]
-    if fmt == "csv":
-        _emit_csv(header, [row])
-    else:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "sequential",
-            "dt": dt,
-            "m": m,
-            "n": n,
-            "row": dict(zip(header, row)),
-        })
+    _emit(fmt, header, [row], {
+        "command": "sequential",
+        "dt": dt,
+        "m": m,
+        "n": n,
+        "row": dict(zip(header, row)),
+    })
     ok = abs_error <= tolerance and prob_sum_error <= tolerance
-    click.echo(
+    _verdict(
         f"sequential: identity error {abs_error:.3g}, probability sum error "
         f"{prob_sum_error:.3g} ({'pass' if ok else 'FAIL'} at {tolerance:g})",
-        err=True,
+        ok,
     )
-    if not ok:
-        sys.exit(1)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-
-def _truth_name(tv) -> str:
-    return tv.value
 
 
 @main.command()
@@ -307,33 +297,22 @@ def epr(alpha, beta, fmt):
     """
     a = _parse_complex(alpha, "--alpha")
     b = _parse_complex(beta, "--beta")
-    try:
+    with _usage_errors():
         rep = epr_check(a, b)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     pairs = [
         ("alpha", f"{a.real:.17g}{a.imag:+.17g}j"),
         ("beta", f"{b.real:.17g}{b.imag:+.17g}j"),
-        ("pre_first_up", _truth_name(rep.pre_first_up)),
-        ("pre_first_down", _truth_name(rep.pre_first_down)),
-        ("pre_second_up", _truth_name(rep.pre_second_up)),
-        ("pre_second_down", _truth_name(rep.pre_second_down)),
+        ("pre_first_up", rep.pre_first_up.value),
+        ("pre_first_down", rep.pre_first_down.value),
+        ("pre_second_up", rep.pre_second_up.value),
+        ("pre_second_down", rep.pre_second_down.value),
         ("branch_probability", _fmt(rep.branch_probability)),
-        ("post_second_down", _truth_name(rep.post_second_down)),
+        ("post_second_down", rep.post_second_down.value),
         ("product_residual", _fmt(rep.product_residual)),
         ("passed", str(rep.passed).lower()),
     ]
-    if fmt == "csv":
-        _emit_csv(["field", "value"], [[k, v] for k, v in pairs])
-    else:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "epr",
-            **{k: v for k, v in pairs},
-        })
-    click.echo(f"epr: {'pass' if rep.passed else 'FAIL'}", err=True)
-    if not rep.passed:
-        sys.exit(1)
+    _emit(fmt, ["field", "value"], pairs, {"command": "epr", **dict(pairs)})
+    _verdict(f"epr: {'pass' if rep.passed else 'FAIL'}", rep.passed)
 
 
 @main.command()
@@ -354,61 +333,45 @@ def wigner(alpha, beta, fmt):
     """
     a = _parse_complex(alpha, "--alpha")
     b = _parse_complex(beta, "--beta")
-    try:
+    with _usage_errors():
         rep = wigner_friend_check(a, b)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    branch_dicts = [
+    branches = [
         {
             "reply": br.reply,
             "probability": br.probability,
             "product_residual": br.product_residual,
-            "composite_truth": [_truth_name(t) for t in br.composite_truth],
-            "object_truth": [_truth_name(t) for t in br.object_truth],
+            "composite_truth": [t.value for t in br.composite_truth],
+            "object_truth": [t.value for t in br.object_truth],
             "consistent": br.consistent,
         }
         for br in rep.branches
     ]
-    if fmt == "csv":
-        rows = [
-            [br.reply, float(br.probability), float(br.product_residual),
-             _truth_name(br.composite_truth[0]), _truth_name(br.composite_truth[1]),
-             _truth_name(br.object_truth[0]), _truth_name(br.object_truth[1]),
-             str(br.consistent).lower()]
-            for br in rep.branches
-        ]
-        _emit_csv(
-            ["reply", "probability", "product_residual",
-             "composite_truth_a", "composite_truth_b",
-             "object_truth_a", "object_truth_b", "consistent"],
-            rows,
-        )
-    else:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "wigner",
-            "pre_object_a": _truth_name(rep.pre_object_a),
-            "pre_object_b": _truth_name(rep.pre_object_b),
-            "branches": branch_dicts,
-            "passed": rep.passed,
-        })
-    click.echo(f"wigner: {'pass' if rep.passed else 'FAIL'}", err=True)
-    if not rep.passed:
-        sys.exit(1)
+    rows = [
+        [b["reply"], float(b["probability"]), float(b["product_residual"]),
+         *b["composite_truth"], *b["object_truth"], str(b["consistent"]).lower()]
+        for b in branches
+    ]
+    header = ["reply", "probability", "product_residual",
+              "composite_truth_a", "composite_truth_b",
+              "object_truth_a", "object_truth_b", "consistent"]
+    _emit(fmt, header, rows, {
+        "command": "wigner",
+        "pre_object_a": rep.pre_object_a.value,
+        "pre_object_b": rep.pre_object_b.value,
+        "branches": branches,
+        "passed": rep.passed,
+    })
+    _verdict(f"wigner: {'pass' if rep.passed else 'FAIL'}", rep.passed)
 
 
 @main.command()
-@click.option("--state", "state_path", type=click.Path(), help="State JSON file.")
-@click.option("--amps", help='Inline amplitudes "re,im;re,im;...".')
-@click.option("--normalize", is_flag=True, help="Rescale the input to unit norm.")
-@click.option("--basis", "basis_path", type=click.Path(),
-              help="Measurement basis as a unitary matrix JSON file.")
+@_preparation
 @click.option("--n", "n_samples", type=int, default=10**6, show_default=True,
               help="Number of draws.")
 @click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
               help="Counter-based generator key; same seed, same record.")
 @format_option
-def sample(state_path, amps, normalize, basis_path, n_samples, seed, fmt):
+def sample(s, basis, n_samples, seed, fmt):
     """Seeded Monte Carlo draws from a preparation.
 
     Example: freqop sample --amps "0.6;0.8" --n 100000 --seed 7
@@ -416,30 +379,14 @@ def sample(state_path, amps, normalize, basis_path, n_samples, seed, fmt):
     One row per outcome: weight, count, empirical frequency, z-score.
     Deterministic for a fixed seed.
     """
-    s = _load_state(state_path, amps, normalize)
-    basis = _load_basis(basis_path)
-    try:
+    with _usage_errors():
         record = sample_ensemble(s, n_samples, seed, basis)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     header = ["outcome", "probability", "count", "empirical_freq", "z_score"]
-    rows = [
-        [i, record.probabilities[i], record.counts[i],
-         record.empirical_freq[i], record.z_scores[i]]
-        for i in range(len(record.counts))
-    ]
-    if fmt == "csv":
-        _emit_csv(header, rows)
-    else:
-        _emit_json({
-            "schema_version": SCHEMA_VERSION,
-            "command": "sample",
-            "seed": record.seed,
-            "n_samples": record.n_samples,
-            "rows": [dict(zip(header, row)) for row in rows],
-        })
-    worst = max((abs(z) for z in record.z_scores), default=0.0)
-    click.echo(f"sample: n={n_samples} seed={seed} max|z|={worst:.3g}", err=True)
+    rows = list(zip(itertools.count(), record.probabilities, record.counts,
+                    record.empirical_freq, record.z_scores))
+    _table(fmt, "sample", header, rows, seed=record.seed, n_samples=record.n_samples)
+    click.echo(f"sample: n={n_samples} seed={seed} max|z|={max_abs_z(record):.3g}",
+               err=True)
 
 
 @main.command(name="verify-all")
@@ -457,23 +404,18 @@ def verify_all(seed, tolerance):
     every suite reports zero failures.
     """
     results = run_all(seed=seed, tolerance=tolerance)
+    total_cases = sum(r.cases for r in results)
     total_failures = sum(r.failures for r in results)
-    _emit_json({
-        "schema_version": SCHEMA_VERSION,
+    _emit("json", [], [], {
         "command": "verify-all",
         "seed": seed,
         "tolerance": tolerance,
         "suites": [r.to_dict() for r in results],
-        "total_cases": sum(r.cases for r in results),
+        "total_cases": total_cases,
         "total_failures": total_failures,
     })
-    click.echo(
-        f"verify-all: {total_failures} failures across "
-        f"{sum(r.cases for r in results)} cases",
-        err=True,
-    )
-    if total_failures:
-        sys.exit(1)
+    _verdict(f"verify-all: {total_failures} failures across {total_cases} cases",
+             not total_failures)
 
 
 if __name__ == "__main__":

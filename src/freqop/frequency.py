@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix
+from .hilbert import StateVector, UnitaryMatrix, _measurement_vector
 from .oracle import dense_deviation
 from .product import (
     DEFAULT_TAIL_RULE,
@@ -75,22 +75,6 @@ class FrequencyReport:
     oracle_deviation: float | None
     applied_norm: float
     method: str
-
-
-def _measurement_vector(k: int, d: int, basis: UnitaryMatrix | None) -> np.ndarray:
-    if basis is not None:
-        if basis.dim != d:
-            raise ValueError(f"basis dim {basis.dim} does not match state dim {d}")
-        if not 0 <= k < d:
-            raise ValueError(f"outcome {k} out of range for dim {d}")
-        v = basis.entries[:, k].copy()
-    else:
-        if not 0 <= k < d:
-            raise ValueError(f"outcome {k} out of range for dim {d}")
-        v = np.zeros(d, dtype=np.complex128)
-        v[k] = 1.0
-    v.setflags(write=False)
-    return v
 
 
 def apply_frequency(spec: FrequencySpec, psi: ProductState) -> ProductState:

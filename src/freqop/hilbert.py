@@ -42,6 +42,29 @@ def _as_complex_matrix(entries, what: str) -> np.ndarray:
     return m
 
 
+def _unit_amplitudes(a: np.ndarray, normalize: bool) -> np.ndarray:
+    """A read-only copy of the finite amplitudes ``a``, checked for unit norm.
+
+    With ``normalize`` the copy is rescaled to unit norm instead. A norm that
+    overflows is taken again after dividing by the largest component, so huge
+    but finite amplitudes still normalize.
+    """
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(a))
+    if normalize:
+        if not np.isfinite(n):
+            a = a / max(np.max(np.abs(a.real)), np.max(np.abs(a.imag)))
+            n = float(np.linalg.norm(a))
+        if n <= NORM_TOL:
+            raise ValueError("cannot normalize a near-zero vector")
+        a = a / n
+    elif abs(n - 1.0) > NORM_TOL:
+        raise ValueError(f"state norm {n:.12g} deviates from 1 beyond {NORM_TOL}")
+    a = a.copy()
+    a.setflags(write=False)
+    return a
+
+
 class StateVector:
     """A normalized pure state.
 
@@ -59,18 +82,7 @@ class StateVector:
 
     def __init__(self, amps, *, normalize: bool = False):
         a = _as_complex_vector(amps, "state amplitudes")
-        n = float(np.linalg.norm(a))
-        if normalize:
-            if n <= NORM_TOL:
-                raise ValueError("cannot normalize a near-zero vector")
-            a = a / n
-        elif abs(n - 1.0) > NORM_TOL:
-            raise ValueError(
-                f"state norm {n:.12g} deviates from 1 beyond {NORM_TOL}"
-            )
-        a = a.copy()
-        a.setflags(write=False)
-        self._amps = a
+        self._amps = _unit_amplitudes(a, normalize)
 
     @property
     def amps(self) -> np.ndarray:
@@ -168,6 +180,21 @@ class UnitaryMatrix(_SquareMatrix):
         if not 0 <= j < self.dim:
             raise ValueError(f"column {j} out of range for dim {self.dim}")
         return StateVector(self._entries[:, j])
+
+
+def _measurement_vector(k: int, d: int, basis: UnitaryMatrix | None) -> np.ndarray:
+    """Read-only ``k``-th vector of ``basis``, or of the standard basis if None."""
+    if basis is not None and basis.dim != d:
+        raise ValueError(f"basis dim {basis.dim} does not match state dim {d}")
+    if not 0 <= k < d:
+        raise ValueError(f"outcome {k} out of range for dim {d}")
+    if basis is not None:
+        v = basis.entries[:, k].copy()
+    else:
+        v = np.zeros(d, dtype=np.complex128)
+        v[k] = 1.0
+    v.setflags(write=False)
+    return v
 
 
 def inner(a: StateVector, b: StateVector) -> complex:

@@ -96,19 +96,18 @@ def matrix_array_from_dict(obj: Any) -> np.ndarray:
     return out
 
 
-def load_state(path: str, *, normalize: bool = False) -> StateVector:
+def _read_json(path: str) -> Any:
     with open(path, "r", encoding="utf-8") as fh:
-        obj = strict_loads(fh.read())
-    return state_from_dict(obj, normalize=normalize)
+        return strict_loads(fh.read())
+
+
+def load_state(path: str, *, normalize: bool = False) -> StateVector:
+    return state_from_dict(_read_json(path), normalize=normalize)
 
 
 def load_hermitian(path: str) -> HermitianOperator:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = strict_loads(fh.read())
-    return HermitianOperator(matrix_array_from_dict(obj))
+    return HermitianOperator(matrix_array_from_dict(_read_json(path)))
 
 
 def load_unitary(path: str) -> UnitaryMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        obj = strict_loads(fh.read())
-    return UnitaryMatrix(matrix_array_from_dict(obj))
+    return UnitaryMatrix(matrix_array_from_dict(_read_json(path)))

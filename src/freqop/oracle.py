@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix
+from .hilbert import StateVector, UnitaryMatrix, _measurement_vector
 from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
@@ -21,24 +21,12 @@ MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
 def _dense_size(d: int, n_slots: int) -> int:
     if d < 1 or n_slots < 1:
         raise ValueError("need d >= 1 and n_slots >= 1")
-    size = d**n_slots
+    # For d >= 2 the size passes the cap within its bit length of slots, so
+    # the full power, a huge integer for a large n_slots, is never formed.
+    size = d ** min(n_slots, DENSE_CAP.bit_length())
     if size > DENSE_CAP:
-        raise ValueError(f"d**n_slots = {size} exceeds the dense cap {DENSE_CAP}")
+        raise ValueError(f"d**n_slots = {d}**{n_slots} exceeds the dense cap {DENSE_CAP}")
     return size
-
-
-def _basis_vector(k: int, d: int, basis: UnitaryMatrix | None) -> np.ndarray:
-    if basis is not None:
-        if basis.dim != d:
-            raise ValueError(f"basis dim {basis.dim} does not match slot dim {d}")
-        if not 0 <= k < d:
-            raise ValueError(f"outcome {k} out of range for dim {d}")
-        return basis.entries[:, k].copy()
-    if not 0 <= k < d:
-        raise ValueError(f"outcome {k} out of range for dim {d}")
-    e = np.zeros(d, dtype=np.complex128)
-    e[k] = 1.0
-    return e
 
 
 class DenseVector:
@@ -137,7 +125,7 @@ def dense_apply_frequency(
     The operator is the mean over slots of the rank-one projector onto the
     ``k``-th measurement vector acting on that slot alone.
     """
-    kvec = _basis_vector(k, v.d, basis)
+    kvec = _measurement_vector(k, v.d, basis)
     res = _apply_frequency_array(v.as_tensor(), kvec, v.n_slots)
     return DenseVector(v.d, v.n_slots, res.reshape(-1))
 
@@ -149,7 +137,7 @@ def dense_frequency_matrix(
     size = _dense_size(d, n_slots)
     if size > MATRIX_CAP:
         raise ValueError(f"matrix side {size} exceeds the cap {MATRIX_CAP}")
-    kvec = _basis_vector(k, d, basis)
+    kvec = _measurement_vector(k, d, basis)
     ident = np.eye(size, dtype=np.complex128).reshape((d,) * n_slots + (size,))
     cols = _apply_frequency_array(ident, kvec, n_slots)
     return cols.reshape(size, size)
@@ -175,7 +163,7 @@ def eigencheck_standard_basis(
     that numerically rather than assuming it.
     """
     size = _dense_size(d, n_slots)
-    kvec = _basis_vector(k, d, None)
+    kvec = _measurement_vector(k, d, None)
     eigs = np.empty(size)
     worst = 0.0
     for start in range(0, size, chunk):
@@ -197,7 +185,7 @@ def dense_deviation(
     s: StateVector, k: int, n_slots: int, basis: UnitaryMatrix | None = None
 ) -> float:
     """``|| (f - p) |s>^N ||`` computed entirely in the dense representation."""
-    kvec = _basis_vector(k, s.dim, basis)
+    kvec = _measurement_vector(k, s.dim, basis)
     p = abs(complex(np.vdot(kvec, s.amps))) ** 2
     v = kron_power(s, n_slots)
     w = dense_apply_frequency(k, v, basis)

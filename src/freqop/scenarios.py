@@ -19,6 +19,7 @@ from .hilbert import (
     Projector,
     StateVector,
     TruthValue,
+    _unit_amplitudes,
     truth_value,
 )
 
@@ -44,16 +45,7 @@ class BipartiteState:
             raise ValueError("amplitudes must form a non-empty 2-D array")
         if not np.all(np.isfinite(m)):
             raise ValueError("amplitudes contain non-finite entries")
-        n = float(np.linalg.norm(m))
-        if normalize:
-            if n <= NORM_TOL:
-                raise ValueError("cannot normalize a near-zero state")
-            m = m / n
-        elif abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {n:.12g} deviates from 1 beyond {NORM_TOL}")
-        m = m.copy()
-        m.setflags(write=False)
-        self._amps = m
+        self._amps = _unit_amplitudes(m, normalize)
 
     @property
     def amps(self) -> np.ndarray:

@@ -3,6 +3,7 @@ import io as _io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -102,6 +103,13 @@ def test_spectrum_cap(runner):
     assert result.exit_code == 2
 
 
+def test_spectrum_refuses_huge_slot_count_at_once(runner):
+    start = time.perf_counter()
+    result = runner.invoke(main, ["spectrum", "-d", "3", "--slots", "30000000", "--k", "0"])
+    assert result.exit_code == 2
+    assert time.perf_counter() - start < 2.0
+
+
 def test_sequential_command(runner, tmp_path):
     path = tmp_path / "h.json"
     path.write_text(json.dumps({
@@ -173,6 +181,17 @@ def test_verify_all_overtight_tolerance_exits_nonzero(runner):
     assert result.exit_code == 1
     payload = json.loads(result.stdout)
     assert payload["total_failures"] > 0
+
+
+def test_internal_error_exits_3(runner, monkeypatch):
+    def crash(seed, tolerance):
+        raise RuntimeError("internal fault")
+
+    monkeypatch.setattr("freqop.cli.run_all", crash)
+    result = runner.invoke(main, ["verify-all"])
+    assert result.exit_code == 3
+    assert result.stdout == ""
+    assert "RuntimeError: internal fault" in result.stderr
 
 
 def test_module_entry_point():

@@ -43,6 +43,12 @@ def test_state_vector_normalize_flag():
         StateVector([0.0, 0.0], normalize=True)
 
 
+def test_state_vector_normalizes_huge_amplitudes():
+    # The norm of these finite amplitudes overflows a float.
+    s = StateVector([1e308, 1e308j], normalize=True)
+    npt.assert_allclose(s.amps, [INV_SQRT2, 1j * INV_SQRT2], atol=1e-15)
+
+
 def test_state_vector_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         StateVector([np.nan, 0.0])

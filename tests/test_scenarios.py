@@ -39,6 +39,12 @@ def test_bipartite_validation():
     npt.assert_allclose(np.linalg.norm(s.amps), 1.0, atol=1e-15)
 
 
+def test_bipartite_normalizes_huge_amplitudes():
+    # The norm of these finite amplitudes overflows a float.
+    s = BipartiteState([[0.0, 1e308], [-1e308, 0.0]], normalize=True)
+    npt.assert_allclose(s.amps, [[0.0, INV_SQRT2], [-INV_SQRT2, 0.0]], atol=1e-15)
+
+
 def test_subsystem_truth_values_on_product_state():
     s = BipartiteState([[1.0, 0.0], [0.0, 0.0]])  # |up>|up>
     assert subsystem_truth_value(s, "first", P_UP) is TruthValue.TRUE
