@@ -253,7 +253,7 @@ def sequential(h_path, dt, m, n, successions, tolerance, fmt):
     with _usage_errors():
         h = io.load_hermitian(h_path)
         spec = SequentialSpec(h, dt, m, n, successions)
-    rep = succession_frequency(spec)
+        rep = succession_frequency(spec)
     q_all = succession_probabilities(h, dt, m)
     abs_error = abs(rep.deviation_exact**2 - rep.deviation_closed**2)
     prob_sum_error = abs(float(q_all.sum()) - 1.0)

@@ -21,6 +21,7 @@ from .product import (
     DEFAULT_TAIL_RULE,
     ProductState,
     TailOverlapRule,
+    _self_product,
     _trusted_term,
     add,
     ensemble,
@@ -31,6 +32,7 @@ from .product import (
 
 VERIFY_TOL = 1e-10   # absolute tolerance on squared-norm identities
 GRAM_LIMIT = 512     # default crossover from explicit Gram to counted route
+MAX_SLOTS = 2**53    # largest ensemble size that converts to a float exactly
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,8 @@ class FrequencySpec:
     def __post_init__(self):
         if self.n_slots < 1:
             raise ValueError("n_slots must be at least 1")
+        if self.n_slots > MAX_SLOTS:
+            raise ValueError(f"n_slots must be at most {MAX_SLOTS}")
         if self.k < 0:
             raise ValueError("outcome index must be non-negative")
         if self.basis is not None and self.k >= self.basis.dim:
@@ -146,9 +150,9 @@ def deviation_norm(
     if method == "gram":
         psi = ensemble(s)
         phi = apply_frequency(spec, psi)
-        applied_sq = _real_inner(phi, phi, rule)
+        applied_sq = _self_product(phi, rule)
         delta = add(phi, scale(psi, -p))
-        dev_sq = _real_inner(delta, delta, rule)
+        dev_sq = _self_product(delta, rule)
     elif method == "counted":
         applied_sq, cross = _counted_products(a, n)
         dev_sq = applied_sq - 2.0 * p * cross + p * p
@@ -165,14 +169,6 @@ def deviation_norm(
         applied_norm=math.sqrt(max(applied_sq, 0.0)),
         method=method,
     )
-
-
-def _real_inner(a: ProductState, b: ProductState, rule: TailOverlapRule) -> float:
-    # For self products the imaginary part is pure roundoff; insist on that.
-    x = inner_infinite(a, b, rule)
-    if abs(x.imag) > 1e-10:
-        raise ArithmeticError(f"self scalar product has imaginary part {x.imag:.3g}")
-    return x.real
 
 
 def cauchy_gap(
@@ -201,7 +197,7 @@ def cauchy_gap(
         phi_n = apply_frequency(FrequencySpec(k, n, basis), psi)
         phi_m = apply_frequency(FrequencySpec(k, m, basis), psi)
         delta = add(phi_n, scale(phi_m, -1.0))
-        return max(_real_inner(delta, delta, rule), 0.0)
+        return _self_product(delta, rule)
     if method == "counted":
         p_pair = (a * a.conjugate()).real
         w = np.full(n, a / n)

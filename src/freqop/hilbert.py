@@ -157,11 +157,6 @@ class Projector(HermitianOperator):
         m[index, index] = 1.0
         return cls(m)
 
-    @classmethod
-    def onto_state(cls, s: StateVector) -> "Projector":
-        """Rank-one projector ``|s><s|``."""
-        return cls(np.outer(s.amps, s.amps.conj()))
-
 
 class UnitaryMatrix(_SquareMatrix):
     """A unitary matrix (U^dagger U = I within ``NORM_TOL``)."""
@@ -233,18 +228,13 @@ def evolve(h: HermitianOperator, dt: float) -> UnitaryMatrix:
     return UnitaryMatrix(vm)
 
 
-def transition_amplitude(u: UnitaryMatrix, n: int, m: int) -> complex:
-    """The amplitude ``<n|u|m>``.
-
-    Index convention: ``m`` labels the prepared (input) basis state, ``n``
-    the observed (output) one, so this is ``u.entries[n, m]``, the overlap
-    of ``|n>`` with the evolved ``|m>``.
-    """
-    if not 0 <= n < u.dim:
-        raise ValueError(f"output index {n} out of range for dim {u.dim}")
-    if not 0 <= m < u.dim:
-        raise ValueError(f"input index {m} out of range for dim {u.dim}")
-    return complex(u.entries[n, m])
+def _projected_truth(amps: np.ndarray, projected: np.ndarray, tol: float) -> TruthValue:
+    """TRUE if projecting left ``amps`` unchanged, FALSE if it annihilated them."""
+    if float(np.linalg.norm(projected - amps)) <= tol:
+        return TruthValue.TRUE
+    if float(np.linalg.norm(projected)) <= tol:
+        return TruthValue.FALSE
+    return TruthValue.INDEFINITE
 
 
 def truth_value(s: StateVector, p: Projector, tol: float = NORM_TOL) -> TruthValue:
@@ -257,12 +247,7 @@ def truth_value(s: StateVector, p: Projector, tol: float = NORM_TOL) -> TruthVal
     """
     if s.dim != p.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {p.dim}")
-    v = p.entries @ s.amps
-    if float(np.linalg.norm(v - s.amps)) <= tol:
-        return TruthValue.TRUE
-    if float(np.linalg.norm(v)) <= tol:
-        return TruthValue.FALSE
-    return TruthValue.INDEFINITE
+    return _projected_truth(s.amps, p.entries @ s.amps, tol)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:

@@ -29,8 +29,16 @@ def _finite_float(text: str) -> float:
 
 
 def strict_loads(text: str) -> Any:
-    """``json.loads`` that refuses NaN/Infinity in any spelling."""
-    return json.loads(text, parse_constant=_reject_constant, parse_float=_finite_float)
+    """``json.loads`` that refuses NaN/Infinity in any spelling.
+
+    Nesting too deep for the parser is refused with ``ValueError`` too.
+    """
+    try:
+        return json.loads(
+            text, parse_constant=_reject_constant, parse_float=_finite_float
+        )
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _complex_from_pair(pair, what: str) -> complex:
@@ -40,7 +48,10 @@ def _complex_from_pair(pair, what: str) -> complex:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)
     ):
         raise ValueError(f"{what} must be a [re, im] pair of numbers")
-    re, im = float(pair[0]), float(pair[1])
+    try:
+        re, im = float(pair[0]), float(pair[1])
+    except OverflowError:
+        raise ValueError(f"{what} has a component beyond the float range") from None
     if not (math.isfinite(re) and math.isfinite(im)):
         raise ValueError(f"{what} contains a non-finite component")
     return complex(re, im)

@@ -22,9 +22,6 @@ import numpy as np
 
 from .hilbert import HERMITIAN_TOL, NORM_TOL, StateVector, _as_complex_vector
 
-MERGE_TOL = 1e-12  # slot proportionality threshold used by compress
-DROP_TOL = 1e-15   # term weight below which compress discards
-
 
 @dataclass(frozen=True)
 class TailOverlapRule:
@@ -40,8 +37,13 @@ class TailOverlapRule:
         if not (0.0 < self.epsilon_tail < 1.0):
             raise ValueError("epsilon_tail must lie strictly between 0 and 1")
 
-    def tail_factor(self, z: complex) -> float:
-        return 1.0 if abs(z - 1.0) <= self.epsilon_tail else 0.0
+    def tail_factor(self, z) -> np.ndarray:
+        """Elementwise tail factor of the tail overlaps ``z``: 1 or exactly 0.
+
+        The factors come as complex numbers, so that the slot overlaps of a
+        term pair multiply into them in place.
+        """
+        return (np.abs(z - 1.0) <= self.epsilon_tail).astype(np.complex128)
 
 
 DEFAULT_TAIL_RULE = TailOverlapRule()
@@ -167,24 +169,6 @@ class ProductState:
     def max_prefix_len(self) -> int:
         return max((t.prefix_len for t in self._terms), default=0)
 
-    def to_dict(self) -> dict:
-        """Debug dump: coefficients and slot amplitudes as [re, im] pairs."""
-
-        def vec(a: np.ndarray) -> list:
-            return [[float(z.real), float(z.imag)] for z in a]
-
-        return {
-            "dim": self._dim,
-            "terms": [
-                {
-                    "coeff": [float(t.coeff.real), float(t.coeff.imag)],
-                    "prefix": [vec(s) for s in t.prefix],
-                    "tail": vec(t.tail),
-                }
-                for t in self._terms
-            ],
-        }
-
     def __repr__(self) -> str:
         return f"ProductState(dim={self._dim}, terms={len(self._terms)})"
 
@@ -228,7 +212,8 @@ def pairwise_term_gram(
     """Matrix of term-pair scalar products, coefficients excluded.
 
     Entry (i, j) is ``prod_alpha <slot_i(alpha)|slot_j(alpha)>`` over the
-    union prefix span, times the tail factor of the rule. Slot products are
+    union prefix span, times the tail factor of the rule; when the rule
+    zeroes every pair, no slot is visited. Slot products are
     accumulated one slot position at a time across all term pairs, so the
     evaluation order is fixed by term index and reproducible.
     """
@@ -240,7 +225,9 @@ def pairwise_term_gram(
     tails_a = np.stack([t.tail for t in a.terms])
     tails_b = np.stack([t.tail for t in b.terms])
     z = tails_a.conj() @ tails_b.T
-    gram = (np.abs(z - 1.0) <= rule.epsilon_tail).astype(np.complex128)
+    gram = rule.tail_factor(z)
+    if not gram.any():
+        return gram
     span = max(a.max_prefix_len, b.max_prefix_len)
     if span:
         sa = _stacked_slots(a, span)
@@ -266,67 +253,19 @@ def inner_infinite(
     return complex(ca.conj() @ gram @ cb)
 
 
-def norm(a: ProductState, rule: TailOverlapRule = DEFAULT_TAIL_RULE) -> float:
-    """``sqrt(<a|a>)``, checking that the quadratic form behaves."""
+def _self_product(a: ProductState, rule: TailOverlapRule) -> float:
+    """``<a|a>``, checked to be real and non-negative up to ``HERMITIAN_TOL``.
+
+    Within that tolerance a negative value is roundoff and comes back as 0.
+    """
     x = inner_infinite(a, a, rule)
     if abs(x.imag) > HERMITIAN_TOL:
         raise ArithmeticError(f"<a|a> has imaginary part {x.imag:.3g}")
     if x.real < -HERMITIAN_TOL:
         raise ArithmeticError(f"<a|a> is negative: {x.real:.3g}")
-    return math.sqrt(max(x.real, 0.0))
+    return max(x.real, 0.0)
 
 
-def _proportionality(base: ProductTerm, other: ProductTerm, tol: float) -> complex | None:
-    # Scalar g with other's product vector == g * base's, or None.
-    z = complex(np.vdot(base.tail, other.tail))
-    if abs(z - 1.0) > tol:
-        return None
-    g = 1.0 + 0j
-    span = max(base.prefix_len, other.prefix_len)
-    for alpha in range(1, span + 1):
-        u = base.slot(alpha)
-        v = other.slot(alpha)
-        nu = float(np.linalg.norm(u))
-        nv = float(np.linalg.norm(v))
-        if nu <= tol and nv <= tol:
-            continue
-        if nu <= tol:
-            return None
-        g_alpha = complex(np.vdot(u, v)) / (nu * nu)
-        if float(np.linalg.norm(v - g_alpha * u)) > tol * max(1.0, nv):
-            return None
-        g *= g_alpha
-    return g
-
-
-def compress(
-    a: ProductState,
-    merge_tol: float = MERGE_TOL,
-    drop_tol: float = DROP_TOL,
-) -> ProductState:
-    """Merge terms that are scalar multiples of each other; drop dead weight.
-
-    Two terms merge when every slot pair is proportional (within
-    ``merge_tol``) and their tails agree under the tail rule at the same
-    threshold; the coefficients combine through the accumulated slot
-    factors. A term whose ``|coeff| * prod(prefix slot norms)`` falls at or
-    below ``drop_tol`` is removed. The represented vector is unchanged up
-    to those thresholds.
-    """
-    reps: list[list] = []  # [coeff, term]
-    for t in a.terms:
-        for rep in reps:
-            g = _proportionality(rep[1], t, merge_tol)
-            if g is not None:
-                rep[0] = rep[0] + t.coeff * g
-                break
-        else:
-            reps.append([t.coeff, t])
-    kept = []
-    for coeff, t in reps:
-        weight = abs(coeff)
-        for s in t.prefix:
-            weight *= float(np.linalg.norm(s))
-        if weight > drop_tol:
-            kept.append(_trusted_term(coeff, t.prefix, t.tail, t.dim))
-    return ProductState(kept, dim=a.dim)
+def norm(a: ProductState, rule: TailOverlapRule = DEFAULT_TAIL_RULE) -> float:
+    """``sqrt(<a|a>)``, checking that the quadratic form behaves."""
+    return math.sqrt(_self_product(a, rule))

@@ -7,7 +7,6 @@ platform. Outcomes come from one uniform stream through the inverse CDF.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,16 +84,3 @@ def sample_ensemble(
 
 def max_abs_z(record: MeasurementRecord) -> float:
     return max((abs(z) for z in record.z_scores), default=0.0)
-
-
-def frequency_errors(record: MeasurementRecord) -> tuple[float, ...]:
-    """``|empirical - expected|`` per outcome."""
-    return tuple(
-        abs(f - p) for f, p in zip(record.empirical_freq, record.probabilities)
-    )
-
-
-def binomial_sigmas(record: MeasurementRecord) -> tuple[float, ...]:
-    """One binomial standard deviation of the empirical frequency, per outcome."""
-    n = record.n_samples
-    return tuple(math.sqrt(p * (1.0 - p) / n) for p in record.probabilities)

@@ -19,6 +19,7 @@ from .hilbert import (
     Projector,
     StateVector,
     TruthValue,
+    _projected_truth,
     _unit_amplitudes,
     truth_value,
 )
@@ -90,12 +91,7 @@ def subsystem_truth_value(
     other; TRUE/FALSE require the joint state to lie inside/orthogonal to
     that subspace.
     """
-    v = _project(state, side, p)
-    if float(np.linalg.norm(v - state.amps)) <= tol:
-        return TruthValue.TRUE
-    if float(np.linalg.norm(v)) <= tol:
-        return TruthValue.FALSE
-    return TruthValue.INDEFINITE
+    return _projected_truth(state.amps, _project(state, side, p), tol)
 
 
 def branch_probability(state: BipartiteState, side: str, p: Projector) -> float:

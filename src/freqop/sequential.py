@@ -15,7 +15,6 @@ import numpy as np
 
 from .frequency import FrequencyReport, FrequencySpec, deviation_norm
 from .hilbert import HermitianOperator, StateVector, UnitaryMatrix, evolve
-from .product import ProductState, ensemble
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,6 @@ def propagator(spec: SequentialSpec) -> UnitaryMatrix:
 def evolved_record_state(spec: SequentialSpec) -> StateVector:
     """The state one run ends in: ``U|m>`` (column m of the propagator)."""
     return propagator(spec).column(spec.m)
-
-
-def recorder_state(spec: SequentialSpec) -> ProductState:
-    """The ensemble of evolved runs as a product state.
-
-    Every slot holds ``U|m>``; the frequency operator over the first
-    ``successions`` slots reads off the recorded block.
-    """
-    return ensemble(evolved_record_state(spec))
 
 
 def succession_probabilities(

@@ -7,6 +7,8 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freqop.cli import main
 
@@ -126,6 +128,23 @@ def test_sequential_command(runner, tmp_path):
     assert float(row[5]) <= 1e-12
 
 
+def test_ensemble_size_beyond_2_pow_53_is_a_usage_error(runner, tmp_path):
+    huge = str(10**200)
+    result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "0",
+                                  "--ns", huge])
+    assert result.exit_code == 2
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "rows": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+    }))
+    result = runner.invoke(main, [
+        "sequential", "--hamiltonian", str(path), "--dt", "0.5",
+        "--m", "0", "--n", "1", "--successions", huge,
+    ])
+    assert result.exit_code == 2
+
+
 def test_epr_command(runner):
     result = runner.invoke(main, ["epr", "--format", "json"])
     assert result.exit_code == 0
@@ -201,3 +220,62 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "verify-all" in proc.stdout
+
+
+# Fuzzed --amps and --ns text either runs (exit 0 or 1) or is refused (exit 2);
+# it never crashes (exit 3 with a traceback). Parsed ensemble sizes stay at
+# N <= 64 or N > 512 (the counted route), so every case runs in milliseconds.
+_number_text = (
+    st.floats(-2.0, 2.0).map(repr)
+    | st.floats().map(repr)
+    | st.integers(-3, 3).map(str)
+    | st.integers(-(10**400), 10**400).map(str)
+    | st.text(alphabet="0123456789.eE+-_ infa", max_size=8)
+)
+_amps_text = (
+    st.lists(_number_text | st.tuples(_number_text, _number_text).map(",".join),
+             max_size=4).map(";".join)
+    | st.lists(st.floats(-2.0, 2.0).map(repr), min_size=2, max_size=4).map(";".join)
+    | st.text(max_size=20)
+)
+
+
+def _assert_no_crash(result):
+    assert result.exit_code in (0, 1, 2), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_amps_text, st.integers(-1, 3), st.booleans())
+def test_fuzz_amps_text(amps, k, normalize):
+    args = ["converge", f"--amps={amps}", "--k", str(k), "--ns", "1,4"]
+    _assert_no_crash(CliRunner().invoke(main, args + ["--normalize"] * normalize))
+
+
+def _gram_sizes_in_range(text):
+    for piece in text.split(","):
+        try:
+            if 64 < int(piece) <= 512:
+                return True
+        except ValueError:
+            pass
+    return False
+
+
+_ns_text = (
+    st.lists(
+        st.integers(-2, 64).map(str)
+        | st.integers(513, 10**400).map(str)
+        | st.text(alphabet="0123456789+- x", max_size=5),
+        max_size=4,
+    ).map(",".join)
+    | st.text(max_size=12)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_ns_text)
+def test_fuzz_ns_text(ns):
+    assume(not _gram_sizes_in_range(ns))
+    args = ["converge", "--amps", "0.6;0.8", "--k", "0", f"--ns={ns}"]
+    _assert_no_crash(CliRunner().invoke(main, args))

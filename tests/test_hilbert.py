@@ -18,7 +18,6 @@ from freqop.hilbert import (
     random_projector,
     random_state,
     random_unitary,
-    transition_amplitude,
     truth_value,
 )
 
@@ -145,18 +144,6 @@ def test_evolve_composes(rng):
     u2 = evolve(h, 0.5)
     u12 = evolve(h, 0.8)
     npt.assert_allclose(u1.entries @ u2.entries, u12.entries, atol=1e-12)
-
-
-def test_transition_amplitude_convention():
-    # Input index m selects the column, output index n the row.
-    t = math.pi / 4
-    u = evolve(HermitianOperator([[0.0, 1.0], [1.0, 0.0]]), t)
-    npt.assert_allclose(transition_amplitude(u, 1, 0), -1j * math.sin(t), atol=1e-14)
-    npt.assert_allclose(
-        abs(transition_amplitude(u, 1, 0)) ** 2, 0.5, atol=1e-14
-    )
-    with pytest.raises(ValueError):
-        transition_amplitude(u, 2, 0)
 
 
 def test_truth_value_trichotomy():

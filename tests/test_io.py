@@ -4,6 +4,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqop import io
 from freqop.hilbert import StateVector
@@ -87,3 +89,57 @@ def test_load_unitary_rejects_hermitian_only_matrix(tmp_path):
     )
     with pytest.raises(ValueError, match="unitary"):
         io.load_unitary(str(path))
+
+
+def test_strict_loads_rejects_deep_nesting():
+    with pytest.raises(ValueError, match="nested"):
+        io.strict_loads("[" * 100_000)
+
+
+def test_state_from_dict_rejects_integer_beyond_float_range():
+    with pytest.raises(ValueError, match="float range"):
+        io.state_from_dict({"dim": 1, "amps": [[10**400, 0]]})
+
+
+# Whatever text a state or matrix file holds, the loaders either return or
+# raise ValueError, which the CLI reports as a usage error (exit 2).
+_json_scalar = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**400), 10**400)
+    | st.floats()
+    | st.text(max_size=4)
+)
+_json_value = st.recursive(
+    _json_scalar,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["dim", "amps", "rows", "x"]), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+_pairs = st.lists(
+    st.lists(_json_scalar, min_size=2, max_size=2) | _json_value, max_size=3
+)
+_state = st.builds(lambda amps: {"dim": len(amps), "amps": amps}, _pairs)
+_matrix = st.builds(lambda rows: {"dim": len(rows), "rows": rows},
+                    st.lists(_pairs, max_size=3))
+_json_text = (
+    (_json_value | _state | _matrix).map(json.dumps)
+    | st.text(alphabet='[]{}",:-+.eE0123456789 NaInfityrulsd', max_size=40)
+    | st.integers(0, 5000).map(lambda depth: "[" * depth + "]" * depth)
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_json_text)
+def test_fuzz_loaders_raise_only_value_error(text):
+    try:
+        obj = io.strict_loads(text)
+    except ValueError:
+        return
+    for load in (io.state_from_dict, io.matrix_array_from_dict):
+        try:
+            load(obj)
+        except ValueError:
+            pass

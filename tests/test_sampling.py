@@ -6,8 +6,6 @@ import pytest
 
 from freqop.hilbert import StateVector, random_state, random_unitary
 from freqop.sampling import (
-    binomial_sigmas,
-    frequency_errors,
     max_abs_z,
     outcome_probabilities,
     sample_ensemble,
@@ -74,19 +72,6 @@ def test_large_run_stays_within_five_sigma(rng):
     s = random_state(4, rng)
     record = sample_ensemble(s, 10**5, seed=2026)
     assert max_abs_z(record) <= 5.0
-
-
-def test_helper_diagnostics():
-    record = sample_ensemble(S68, 100, seed=3)
-    errs = frequency_errors(record)
-    sigmas = binomial_sigmas(record)
-    assert len(errs) == len(sigmas) == 2
-    npt.assert_allclose(
-        sigmas[0], math.sqrt(0.36 * 0.64 / 100), atol=1e-15
-    )
-    npt.assert_allclose(
-        errs[0], abs(record.empirical_freq[0] - 0.36), atol=1e-15
-    )
 
 
 def test_input_validation():

@@ -5,12 +5,8 @@ import numpy.testing as npt
 import pytest
 
 from freqop.hilbert import HermitianOperator, random_hermitian
-from freqop.product import inner_infinite
 from freqop.sequential import (
     SequentialSpec,
-    evolved_record_state,
-    propagator,
-    recorder_state,
     succession_frequency,
     succession_probabilities,
 )
@@ -73,15 +69,3 @@ def test_succession_with_oracle(rng):
         SequentialSpec(h, 0.9, 0, 1, successions=6), oracle=True
     )
     assert abs(rep.deviation_exact**2 - rep.oracle_deviation**2) <= 1e-12
-
-
-def test_recorder_state_slots_hold_evolved_state(rng):
-    h = random_hermitian(3, rng)
-    spec = SequentialSpec(h, 0.5, m=2, n=0, successions=4)
-    psi = recorder_state(spec)
-    evolved = evolved_record_state(spec)
-    u = propagator(spec)
-    npt.assert_allclose(evolved.amps, u.entries[:, 2], atol=1e-15)
-    npt.assert_allclose(inner_infinite(psi, psi), 1.0, atol=1e-12)
-    npt.assert_allclose(psi.terms[0].slot(1), evolved.amps, atol=0)
-    npt.assert_allclose(psi.terms[0].slot(spec.successions + 3), evolved.amps, atol=0)
