@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -20,12 +21,11 @@ import sys
 import traceback
 
 import click
-import numpy as np
 
 from . import io
 from .frequency import VERIFY_TOL, FrequencySpec, deviation_norm
 from .hilbert import StateVector
-from .oracle import dense_frequency_matrix
+from .oracle import dense_spectrum
 from .sampling import max_abs_z, sample_ensemble
 from .scenarios import epr_check, wigner_friend_check
 from .sequential import SequentialSpec, succession_frequency, succession_probabilities
@@ -125,6 +125,20 @@ def _preparation(command):
     return load
 
 
+class _Tolerance(click.ParamType):
+    """A finite, non-negative float; ``nan`` would pass every check."""
+
+    name = "float"
+
+    def convert(self, value, param, ctx):
+        x = click.FLOAT.convert(value, param, ctx)
+        if not (math.isfinite(x) and x >= 0.0):
+            self.fail(f"{value!r} is not a finite, non-negative number", param, ctx)
+        return x
+
+
+TOLERANCE = _Tolerance()
+
 format_option = click.option(
     "--format",
     "fmt",
@@ -160,7 +174,7 @@ def main():
 @click.option("--k", type=int, required=True, help="Counted outcome index.")
 @click.option("--ns", default="1,4,16,64", show_default=True,
               help="Comma-separated ensemble sizes.")
-@click.option("--tolerance", type=float, default=VERIFY_TOL, show_default=True,
+@click.option("--tolerance", type=TOLERANCE, default=VERIFY_TOL, show_default=True,
               help="Absolute tolerance on the squared-deviation identity.")
 @format_option
 def converge(s, basis, k, ns, tolerance, fmt):
@@ -201,7 +215,7 @@ def converge(s, basis, k, ns, tolerance, fmt):
 @click.option("--dim", "-d", type=int, required=True, help="Slot dimension.")
 @click.option("--slots", type=int, required=True, help="Number of slots N.")
 @click.option("--k", type=int, required=True, help="Counted outcome index.")
-@click.option("--tolerance", type=float, default=1e-9, show_default=True,
+@click.option("--tolerance", type=TOLERANCE, default=1e-9, show_default=True,
               help="Containment tolerance for eigenvalues.")
 @format_option
 def spectrum(dim, slots, k, tolerance, fmt):
@@ -213,8 +227,7 @@ def spectrum(dim, slots, k, tolerance, fmt):
     otherwise. Sizes with d**N above the dense-matrix cap are rejected.
     """
     with _usage_errors():
-        mat = dense_frequency_matrix(k, slots, dim)
-    eigs = np.linalg.eigvalsh(mat)
+        eigs = dense_spectrum(k, slots, dim)
     rows = []
     for i, lam in enumerate(eigs):
         nearest = round(float(lam) * slots) / slots
@@ -238,7 +251,7 @@ def spectrum(dim, slots, k, tolerance, fmt):
 @click.option("--n", type=int, required=True, help="Succeeding record index.")
 @click.option("--successions", type=int, default=1000, show_default=True,
               help="Ensemble length M.")
-@click.option("--tolerance", type=float, default=VERIFY_TOL, show_default=True,
+@click.option("--tolerance", type=TOLERANCE, default=VERIFY_TOL, show_default=True,
               help="Absolute tolerance on the squared-deviation identity.")
 @format_option
 def sequential(h_path, dt, m, n, successions, tolerance, fmt):
@@ -390,9 +403,9 @@ def sample(s, basis, n_samples, seed, fmt):
 
 
 @main.command(name="verify-all")
-@click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
-              help="Seed for every randomized suite.")
-@click.option("--tolerance", type=float, default=None,
+@click.option("--seed", type=click.IntRange(0, 2**63 - 1), default=DEFAULT_SEED,
+              show_default=True, help="Seed for every randomized suite.")
+@click.option("--tolerance", type=TOLERANCE, default=None,
               help="Override the identity-suite tolerances (exact-zero and "
                    "statistical suites keep their own).")
 def verify_all(seed, tolerance):
@@ -410,7 +423,7 @@ def verify_all(seed, tolerance):
         "command": "verify-all",
         "seed": seed,
         "tolerance": tolerance,
-        "suites": [r.to_dict() for r in results],
+        "suites": [dataclasses.asdict(r) for r in results],
         "total_cases": total_cases,
         "total_failures": total_failures,
     })

@@ -18,9 +18,8 @@ import numpy as np
 from .hilbert import StateVector, UnitaryMatrix, _measurement_vector
 from .oracle import dense_deviation
 from .product import (
-    DEFAULT_TAIL_RULE,
+    TAIL_EPS,
     ProductState,
-    TailOverlapRule,
     _self_product,
     _trusted_term,
     add,
@@ -130,7 +129,6 @@ def deviation_norm(
     *,
     method: str = "auto",
     oracle: bool = False,
-    rule: TailOverlapRule = DEFAULT_TAIL_RULE,
 ) -> FrequencyReport:
     """Measure ``|| (f - p) |s>^infinity ||`` for the ensemble of ``s``.
 
@@ -150,9 +148,9 @@ def deviation_norm(
     if method == "gram":
         psi = ensemble(s)
         phi = apply_frequency(spec, psi)
-        applied_sq = _self_product(phi, rule)
+        applied_sq = _self_product(phi)
         delta = add(phi, scale(psi, -p))
-        dev_sq = _self_product(delta, rule)
+        dev_sq = _self_product(delta)
     elif method == "counted":
         applied_sq, cross = _counted_products(a, n)
         dev_sq = applied_sq - 2.0 * p * cross + p * p
@@ -179,7 +177,6 @@ def cauchy_gap(
     basis: UnitaryMatrix | None = None,
     *,
     method: str = "auto",
-    rule: TailOverlapRule = DEFAULT_TAIL_RULE,
 ) -> float:
     """Squared gap ``|| (f_N - f_M) |s>^infinity ||^2`` for ``m <= n``.
 
@@ -197,7 +194,7 @@ def cauchy_gap(
         phi_n = apply_frequency(FrequencySpec(k, n, basis), psi)
         phi_m = apply_frequency(FrequencySpec(k, m, basis), psi)
         delta = add(phi_n, scale(phi_m, -1.0))
-        return _self_product(delta, rule)
+        return _self_product(delta)
     if method == "counted":
         p_pair = (a * a.conjugate()).real
         w = np.full(n, a / n)
@@ -214,7 +211,6 @@ def cauchy_gap_grid(
     s: StateVector,
     n_max: int,
     basis: UnitaryMatrix | None = None,
-    rule: TailOverlapRule = DEFAULT_TAIL_RULE,
 ) -> np.ndarray:
     """All squared gaps for ``1 <= m <= n <= n_max`` from one term Gram.
 
@@ -233,7 +229,7 @@ def cauchy_gap_grid(
         for alpha in range(1, n_max + 1)
     ]
     block = ProductState(terms, dim=d)
-    gram = pairwise_term_gram(block, block, rule)
+    gram = pairwise_term_gram(block, block)
     out = np.full((n_max, n_max), np.nan)
     for m in range(1, n_max + 1):
         for n in range(m, n_max + 1):
@@ -252,7 +248,6 @@ def cross_orthogonality(
     s: StateVector,
     s_prime: StateVector,
     basis: UnitaryMatrix | None = None,
-    rule: TailOverlapRule = DEFAULT_TAIL_RULE,
 ) -> complex:
     """Scalar product of frequency images of two distinct-ray ensembles.
 
@@ -266,11 +261,11 @@ def cross_orthogonality(
     if s.dim != s_prime.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {s_prime.dim}")
     overlap = abs(complex(np.vdot(s.amps, s_prime.amps)))
-    if overlap > 1.0 - 10.0 * rule.epsilon_tail:
+    if overlap > 1.0 - 10.0 * TAIL_EPS:
         raise ValueError(
             f"|<s|s'>| = {overlap:.12g} is too close to 1 for the tail rule "
-            f"(epsilon_tail={rule.epsilon_tail:g})"
+            f"(TAIL_EPS={TAIL_EPS:g})"
         )
     phi_a = apply_frequency(FrequencySpec(k, n, basis), ensemble(s_prime))
     phi_b = apply_frequency(FrequencySpec(k, m, basis), ensemble(s))
-    return inner_infinite(phi_a, phi_b, rule)
+    return inner_infinite(phi_a, phi_b)

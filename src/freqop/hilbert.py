@@ -166,10 +166,6 @@ class UnitaryMatrix(_SquareMatrix):
         if dev > NORM_TOL:
             raise ValueError(f"matrix deviates from unitary by {dev:.3g}")
 
-    @classmethod
-    def identity(cls, dim: int) -> "UnitaryMatrix":
-        return cls(np.eye(dim, dtype=np.complex128))
-
     def column(self, j: int) -> StateVector:
         """Column ``j`` as a state (the j-th measurement-basis vector)."""
         if not 0 <= j < self.dim:
@@ -228,26 +224,26 @@ def evolve(h: HermitianOperator, dt: float) -> UnitaryMatrix:
     return UnitaryMatrix(vm)
 
 
-def _projected_truth(amps: np.ndarray, projected: np.ndarray, tol: float) -> TruthValue:
+def _projected_truth(amps: np.ndarray, projected: np.ndarray) -> TruthValue:
     """TRUE if projecting left ``amps`` unchanged, FALSE if it annihilated them."""
-    if float(np.linalg.norm(projected - amps)) <= tol:
+    if float(np.linalg.norm(projected - amps)) <= NORM_TOL:
         return TruthValue.TRUE
-    if float(np.linalg.norm(projected)) <= tol:
+    if float(np.linalg.norm(projected)) <= NORM_TOL:
         return TruthValue.FALSE
     return TruthValue.INDEFINITE
 
 
-def truth_value(s: StateVector, p: Projector, tol: float = NORM_TOL) -> TruthValue:
+def truth_value(s: StateVector, p: Projector) -> TruthValue:
     """Evaluate the proposition represented by projector ``p`` on state ``s``.
 
-    TRUE when ``s`` lies in the range of ``p`` (``||p s - s|| <= tol``),
-    FALSE when ``s`` is annihilated (``||p s|| <= tol``), INDEFINITE
+    TRUE when ``s`` lies in the range of ``p`` (``||p s - s|| <= NORM_TOL``),
+    FALSE when ``s`` is annihilated (``||p s|| <= NORM_TOL``), INDEFINITE
     otherwise. Only states inside or orthogonal to the subspace make the
     proposition definite.
     """
     if s.dim != p.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {p.dim}")
-    return _projected_truth(s.amps, p.entries @ s.amps, tol)
+    return _projected_truth(s.amps, p.entries @ s.amps)
 
 
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:

@@ -16,6 +16,7 @@ from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
+EIGENCHECK_BLOCK = 512  # basis vectors pushed through the operator at once
 
 
 def _dense_size(d: int, n_slots: int) -> int:
@@ -151,9 +152,7 @@ def dense_spectrum(
     return np.linalg.eigvalsh(m)
 
 
-def eigencheck_standard_basis(
-    k: int, n_slots: int, d: int, chunk: int = 512
-) -> tuple[np.ndarray, float]:
+def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray, float]:
     """Push every standard product basis vector through the operator.
 
     Returns the extracted eigenvalue for each of the ``d**N`` basis vectors
@@ -166,8 +165,8 @@ def eigencheck_standard_basis(
     kvec = _measurement_vector(k, d, None)
     eigs = np.empty(size)
     worst = 0.0
-    for start in range(0, size, chunk):
-        stop = min(start + chunk, size)
+    for start in range(0, size, EIGENCHECK_BLOCK):
+        stop = min(start + EIGENCHECK_BLOCK, size)
         block = np.zeros((size, stop - start), dtype=np.complex128)
         block[start:stop] = np.eye(stop - start, dtype=np.complex128)
         res = _apply_frequency_array(

@@ -10,43 +10,29 @@ prefix part is a finite product; the remaining infinite run of identical
 factors ``z = <tail_a|tail_b>`` either converges to 1 (when ``z`` is 1) or
 kills the term pair (|z| < 1 drives the product to zero; a unimodular
 ``z != 1`` never settles, and such pairs are assigned overlap zero as well).
-``TailOverlapRule`` makes that dichotomy numerically explicit.
+``TAIL_EPS`` makes that dichotomy numerically explicit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import HERMITIAN_TOL, NORM_TOL, StateVector, _as_complex_vector
 
 
-@dataclass(frozen=True)
-class TailOverlapRule:
-    """Decides the infinite-tail factor of a term-pair scalar product.
+TAIL_EPS = 1e-12  # tails with |<tail_a|tail_b> - 1| <= TAIL_EPS count as equal
 
-    The factor is 1 when ``|<tail_a|tail_b> - 1| <= epsilon_tail`` and
-    exactly 0 otherwise.
+
+def _tail_factor(z) -> np.ndarray:
+    """Elementwise tail factor of the tail overlaps ``z``: 1 or exactly 0.
+
+    The factor is 1 when ``|z - 1| <= TAIL_EPS`` and exactly 0 otherwise. The
+    factors come as complex numbers, so that the slot overlaps of a term pair
+    multiply into them in place.
     """
-
-    epsilon_tail: float = 1e-12
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon_tail < 1.0):
-            raise ValueError("epsilon_tail must lie strictly between 0 and 1")
-
-    def tail_factor(self, z) -> np.ndarray:
-        """Elementwise tail factor of the tail overlaps ``z``: 1 or exactly 0.
-
-        The factors come as complex numbers, so that the slot overlaps of a
-        term pair multiply into them in place.
-        """
-        return (np.abs(z - 1.0) <= self.epsilon_tail).astype(np.complex128)
-
-
-DEFAULT_TAIL_RULE = TailOverlapRule()
+    return (np.abs(z - 1.0) <= TAIL_EPS).astype(np.complex128)
 
 
 def _slot_array(slot, what: str) -> np.ndarray:
@@ -206,16 +192,14 @@ def _stacked_slots(state: ProductState, length: int) -> np.ndarray:
     return out
 
 
-def pairwise_term_gram(
-    a: ProductState, b: ProductState, rule: TailOverlapRule = DEFAULT_TAIL_RULE
-) -> np.ndarray:
+def pairwise_term_gram(a: ProductState, b: ProductState) -> np.ndarray:
     """Matrix of term-pair scalar products, coefficients excluded.
 
     Entry (i, j) is ``prod_alpha <slot_i(alpha)|slot_j(alpha)>`` over the
-    union prefix span, times the tail factor of the rule; when the rule
-    zeroes every pair, no slot is visited. Slot products are
-    accumulated one slot position at a time across all term pairs, so the
-    evaluation order is fixed by term index and reproducible.
+    union prefix span, times the tail factor; when the tail factors zero
+    every pair, no slot is visited. Slot products are accumulated one slot
+    position at a time across all term pairs, so the evaluation order is
+    fixed by term index and reproducible.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -225,7 +209,7 @@ def pairwise_term_gram(
     tails_a = np.stack([t.tail for t in a.terms])
     tails_b = np.stack([t.tail for t in b.terms])
     z = tails_a.conj() @ tails_b.T
-    gram = rule.tail_factor(z)
+    gram = _tail_factor(z)
     if not gram.any():
         return gram
     span = max(a.max_prefix_len, b.max_prefix_len)
@@ -237,15 +221,13 @@ def pairwise_term_gram(
     return gram
 
 
-def inner_infinite(
-    a: ProductState, b: ProductState, rule: TailOverlapRule = DEFAULT_TAIL_RULE
-) -> complex:
+def inner_infinite(a: ProductState, b: ProductState) -> complex:
     """Scalar product ``<a|b>``, antilinear in ``a``.
 
     Bilinear extension over term pairs of the slot-product formula in the
     module docstring. Exact zeros from the tail rule are exact in the result.
     """
-    gram = pairwise_term_gram(a, b, rule)
+    gram = pairwise_term_gram(a, b)
     if gram.size == 0:
         return 0j
     ca = np.array([t.coeff for t in a.terms], dtype=np.complex128)
@@ -253,12 +235,12 @@ def inner_infinite(
     return complex(ca.conj() @ gram @ cb)
 
 
-def _self_product(a: ProductState, rule: TailOverlapRule) -> float:
+def _self_product(a: ProductState) -> float:
     """``<a|a>``, checked to be real and non-negative up to ``HERMITIAN_TOL``.
 
     Within that tolerance a negative value is roundoff and comes back as 0.
     """
-    x = inner_infinite(a, a, rule)
+    x = inner_infinite(a, a)
     if abs(x.imag) > HERMITIAN_TOL:
         raise ArithmeticError(f"<a|a> has imaginary part {x.imag:.3g}")
     if x.real < -HERMITIAN_TOL:
@@ -266,6 +248,6 @@ def _self_product(a: ProductState, rule: TailOverlapRule) -> float:
     return max(x.real, 0.0)
 
 
-def norm(a: ProductState, rule: TailOverlapRule = DEFAULT_TAIL_RULE) -> float:
+def norm(a: ProductState) -> float:
     """``sqrt(<a|a>)``, checking that the quadratic form behaves."""
-    return math.sqrt(_self_product(a, rule))
+    return math.sqrt(_self_product(a))

@@ -2,7 +2,9 @@
 
 Draws use the Philox counter-based generator keyed by the seed, so a record
 is reproducible bit for bit from (seed, n_samples, state) alone, on any
-platform. Outcomes come from one uniform stream through the inverse CDF.
+platform. Outcomes come from one uniform stream through the inverse CDF,
+drawn in blocks of ``DRAW_BLOCK``; the Philox stream does not depend on how
+the draws are split, so neither does the record.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import StateVector, UnitaryMatrix
+
+DRAW_BLOCK = 2**20  # draws per block, so memory stays bounded for any n_samples
 
 
 @dataclass(frozen=True)
@@ -62,11 +66,13 @@ def sample_ensemble(
     p = outcome_probabilities(s, basis)
     d = p.size
     rng = np.random.Generator(np.random.Philox(key=seed))
-    u = rng.random(n_samples)
     edges = np.cumsum(p)
-    idx = np.searchsorted(edges, u, side="right")
-    np.minimum(idx, d - 1, out=idx)
-    counts = np.bincount(idx, minlength=d)
+    counts = np.zeros(d, dtype=np.int64)
+    for start in range(0, n_samples, DRAW_BLOCK):
+        u = rng.random(min(DRAW_BLOCK, n_samples - start))
+        idx = np.searchsorted(edges, u, side="right")
+        np.minimum(idx, d - 1, out=idx)
+        counts += np.bincount(idx, minlength=d)
     freq = counts / n_samples
     z = np.zeros(d)
     spread = p * (1.0 - p)

@@ -82,16 +82,14 @@ def _project(state: BipartiteState, side: str, p: Projector) -> np.ndarray:
     raise ValueError(f'side must be "first" or "second", got {side!r}')
 
 
-def subsystem_truth_value(
-    state: BipartiteState, side: str, p: Projector, tol: float = NORM_TOL
-) -> TruthValue:
+def subsystem_truth_value(state: BipartiteState, side: str, p: Projector) -> TruthValue:
     """Trichotomy for a one-subsystem proposition on the joint state.
 
     The projector acts on the named side tensored with the identity on the
     other; TRUE/FALSE require the joint state to lie inside/orthogonal to
     that subspace.
     """
-    return _projected_truth(state.amps, _project(state, side, p), tol)
+    return _projected_truth(state.amps, _project(state, side, p))
 
 
 def branch_probability(state: BipartiteState, side: str, p: Projector) -> float:
@@ -152,7 +150,6 @@ def epr_pair(alpha: complex, beta: complex) -> BipartiteState:
 def epr_check(
     alpha: complex,
     beta: complex,
-    tol: float = NORM_TOL,
     product_tol: float = PRODUCT_TOL,
 ) -> EprReport:
     """Spin-pair conditioning: indefinite singly, definite after a record.
@@ -166,21 +163,21 @@ def epr_check(
     alpha = complex(alpha)
     beta = complex(beta)
     total = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {total:.12g} is not 1")
-    if abs(alpha) ** 2 <= tol or abs(beta) ** 2 <= tol:
+    if abs(alpha) ** 2 <= NORM_TOL or abs(beta) ** 2 <= NORM_TOL:
         raise ValueError("both branches must carry weight; got a definite pair")
     state = epr_pair(alpha, beta)
     p_up = Projector.onto_basis_state(2, 0)
     p_down = Projector.onto_basis_state(2, 1)
     pre = (
-        subsystem_truth_value(state, "first", p_up, tol),
-        subsystem_truth_value(state, "first", p_down, tol),
-        subsystem_truth_value(state, "second", p_up, tol),
-        subsystem_truth_value(state, "second", p_down, tol),
+        subsystem_truth_value(state, "first", p_up),
+        subsystem_truth_value(state, "first", p_down),
+        subsystem_truth_value(state, "second", p_up),
+        subsystem_truth_value(state, "second", p_down),
     )
     conditioned = condition_on(state, "first", p_up)
-    post = subsystem_truth_value(conditioned, "second", p_down, tol)
+    post = subsystem_truth_value(conditioned, "second", p_down)
     target = np.zeros((2, 2), dtype=np.complex128)
     target[0, 1] = 1.0
     residual = _phase_free_residual(conditioned, target)
@@ -230,7 +227,6 @@ class WignerReport:
 def wigner_friend_check(
     alpha: complex,
     beta: complex,
-    tol: float = NORM_TOL,
     product_tol: float = PRODUCT_TOL,
 ) -> WignerReport:
     """An observer inside the box, described from outside.
@@ -248,7 +244,7 @@ def wigner_friend_check(
     alpha = complex(alpha)
     beta = complex(beta)
     total = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(total - 1.0) > tol:
+    if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {total:.12g} is not 1")
     m = np.zeros((2, 2), dtype=np.complex128)
     m[0, 0] = alpha
@@ -256,13 +252,13 @@ def wigner_friend_check(
     composite = BipartiteState(m)
     p_obj = (Projector.onto_basis_state(2, 0), Projector.onto_basis_state(2, 1))
     p_rec = (Projector.onto_basis_state(2, 0), Projector.onto_basis_state(2, 1))
-    pre_a = subsystem_truth_value(composite, "first", p_obj[0], tol)
-    pre_b = subsystem_truth_value(composite, "first", p_obj[1], tol)
+    pre_a = subsystem_truth_value(composite, "first", p_obj[0])
+    pre_b = subsystem_truth_value(composite, "first", p_obj[1])
     branches = []
     all_consistent = True
     for j, reply in enumerate(("a", "b")):
         prob = branch_probability(composite, "second", p_rec[j])
-        if prob <= tol:
+        if prob <= NORM_TOL:
             continue
         conditioned = condition_on(composite, "second", p_rec[j])
         object_state = StateVector(conditioned.amps[:, j], normalize=True)
@@ -270,9 +266,9 @@ def wigner_friend_check(
         target[j, j] = 1.0
         residual = _phase_free_residual(conditioned, target)
         composite_tv = tuple(
-            subsystem_truth_value(conditioned, "first", p, tol) for p in p_obj
+            subsystem_truth_value(conditioned, "first", p) for p in p_obj
         )
-        object_tv = tuple(truth_value(object_state, p, tol) for p in p_obj)
+        object_tv = tuple(truth_value(object_state, p) for p in p_obj)
         consistent = composite_tv == object_tv and residual <= product_tol
         all_consistent = all_consistent and consistent
         branches.append(

@@ -64,7 +64,7 @@ def succession_probabilities(
 
 
 def succession_frequency(
-    spec: SequentialSpec, *, method: str = "auto", oracle: bool = False
+    spec: SequentialSpec, *, oracle: bool = False
 ) -> FrequencyReport:
     """Deviation report for the frequency of record ``n`` among M successions.
 
@@ -73,4 +73,4 @@ def succession_frequency(
     """
     s = evolved_record_state(spec)
     fspec = FrequencySpec(k=spec.n, n_slots=spec.successions)
-    return deviation_norm(fspec, s, method=method, oracle=oracle)
+    return deviation_norm(fspec, s, oracle=oracle)

@@ -37,14 +37,6 @@ class SuiteResult:
     failures: int
     max_error: float
 
-    def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "cases": self.cases,
-            "failures": self.failures,
-            "max_error": self.max_error,
-        }
-
 
 class _Tally:
     def __init__(self, name: str):

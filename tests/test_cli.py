@@ -202,6 +202,36 @@ def test_verify_all_overtight_tolerance_exits_nonzero(runner):
     assert payload["total_failures"] > 0
 
 
+@pytest.mark.parametrize("args", [
+    ["converge", "--amps", "0.6;0.8", "--k", "0", "--ns", "4"],
+    ["spectrum", "-d", "2", "--slots", "2", "--k", "0"],
+    ["sequential", "--hamiltonian", "{h}", "--dt", "0.5", "--m", "0", "--n", "1",
+     "--successions", "4"],
+    ["verify-all"],
+], ids=lambda args: args[0])
+def test_tolerance_must_be_finite_and_non_negative(runner, tmp_path, args):
+    # nan would pass every check ("error > nan" is never true); refuse it up front
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "rows": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+    }))
+    args = [str(path) if a == "{h}" else a for a in args]
+    for bad in ("nan", "inf", "-1"):
+        result = runner.invoke(main, [*args, "--tolerance", bad])
+        assert result.exit_code == 2, bad
+        assert result.stdout == ""
+
+
+def test_verify_all_seed_must_fit_a_signed_64_bit_key(runner):
+    # seeds from 2**63 on would reach the generator key as float64, so two
+    # different seeds could run identical inputs
+    for bad in ("-1", str(2**63), str(10**50)):
+        result = runner.invoke(main, ["verify-all", "--seed", bad])
+        assert result.exit_code == 2, bad
+        assert result.stdout == ""
+
+
 def test_internal_error_exits_3(runner, monkeypatch):
     def crash(seed, tolerance):
         raise RuntimeError("internal fault")

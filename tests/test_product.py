@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from freqop.hilbert import StateVector
 from freqop.product import (
-    DEFAULT_TAIL_RULE,
     ProductState,
     ProductTerm,
-    TailOverlapRule,
     add,
     ensemble,
     inner_infinite,
@@ -31,14 +29,6 @@ def term(coeff, prefix, tail):
 
 def one_term_state(coeff, prefix, tail):
     return ProductState([term(coeff, prefix, tail)])
-
-
-def test_tail_rule_validation():
-    with pytest.raises(ValueError):
-        TailOverlapRule(0.0)
-    with pytest.raises(ValueError):
-        TailOverlapRule(1.0)
-    assert DEFAULT_TAIL_RULE.epsilon_tail == 1e-12
 
 
 def test_term_validation():
@@ -105,9 +95,16 @@ def test_tail_rule_epsilon_widens_acceptance():
     a = one_term_state(1.0, (E1,), E0)
     b = one_term_state(1.0, (E1,), near)
     assert inner_infinite(a, b) == 0j
-    loose = TailOverlapRule(epsilon_tail=0.5)
-    got = inner_infinite(a, b, loose)
-    npt.assert_allclose(got, 1.0, atol=0)  # prefix overlap <e1|e1> alone
+
+
+def test_tail_eps_boundary():
+    # |<tail_a|tail_b> - 1| = 1 - cos(theta): about 5e-13 at theta = 1e-6,
+    # inside TAIL_EPS = 1e-12, and about 2e-12 at theta = 2e-6, outside it
+    a = one_term_state(1.0, (), E0)
+    inside = one_term_state(1.0, (), [math.cos(1e-6), math.sin(1e-6)])
+    outside = one_term_state(1.0, (), [math.cos(2e-6), math.sin(2e-6)])
+    assert inner_infinite(a, inside) == 1.0
+    assert inner_infinite(a, outside) == 0j
 
 
 def test_inner_dimension_mismatch():

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from freqop import sampling
 from freqop.hilbert import StateVector, random_state, random_unitary
 from freqop.sampling import (
     max_abs_z,
@@ -47,6 +48,13 @@ def test_replay_is_bit_exact():
     a = sample_ensemble(S68, 5000, seed=7)
     b = sample_ensemble(S68, 5000, seed=7)
     assert a == b
+
+
+def test_record_does_not_depend_on_the_draw_block(rng, monkeypatch):
+    s = random_state(4, rng)
+    whole = sample_ensemble(s, 1000, seed=11)
+    monkeypatch.setattr(sampling, "DRAW_BLOCK", 7)
+    assert sample_ensemble(s, 1000, seed=11) == whole
 
 
 def test_different_seeds_differ():
