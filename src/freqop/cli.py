@@ -29,7 +29,7 @@ from .oracle import dense_spectrum
 from .sampling import max_abs_z, sample_ensemble
 from .scenarios import epr_check, wigner_friend_check
 from .sequential import SequentialSpec, succession_frequency, succession_probabilities
-from .verify import DEFAULT_SEED, run_all
+from .verify import DEFAULT_SEED, SEED_MAX, run_all
 
 SCHEMA_VERSION = 1
 
@@ -403,7 +403,7 @@ def sample(s, basis, n_samples, seed, fmt):
 
 
 @main.command(name="verify-all")
-@click.option("--seed", type=click.IntRange(0, 2**63 - 1), default=DEFAULT_SEED,
+@click.option("--seed", type=click.IntRange(0, SEED_MAX), default=DEFAULT_SEED,
               show_default=True, help="Seed for every randomized suite.")
 @click.option("--tolerance", type=TOLERANCE, default=None,
               help="Override the identity-suite tolerances (exact-zero and "

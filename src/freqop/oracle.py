@@ -1,10 +1,10 @@
 """Brute-force dense reference implementation for small slot counts.
 
-States on N slots are expanded to full ``d**N`` amplitude vectors and the
-frequency operator is applied slot by slot as an explicit mean of
-projectors. Nothing here goes through the product-state scalar product, so
-agreement between the two code paths is a real cross-check. Capped at
-``d**N <= 2**20`` amplitudes.
+States on N slots are expanded to full ``d**N`` amplitude vectors; the
+frequency operator is the mean over slots of one-slot projectors, applied
+slot by slot or read off entry by entry. Nothing here goes through the
+product-state scalar product, so agreement between the two code paths is
+a real cross-check. Capped at ``d**N <= 2**20`` amplitudes.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
-EIGENCHECK_BLOCK = 512  # basis vectors pushed through the operator at once
 
 
 def _dense_size(d: int, n_slots: int) -> int:
@@ -107,15 +106,18 @@ def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
     return DenseVector(state.dim, n_slots, out)
 
 
-def _apply_frequency_array(t: np.ndarray, kvec: np.ndarray, n_slots: int) -> np.ndarray:
-    # t: shape (d,)*n_slots plus optional trailing batch axes.
-    out = np.zeros_like(t)
-    kc = kvec.conj()
-    for alpha in range(n_slots):
-        amp = np.tensordot(kc, t, axes=(0, alpha))
-        out += np.moveaxis(np.multiply.outer(kvec, amp), 0, alpha)
-    out /= n_slots
-    return out
+def _frequency_entries(kvec: np.ndarray, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and values of the entries of ``N f``, each shaped ``(d**N, N, d)``.
+
+    ``[j, alpha, i]``: ``kvec[i] conj(kvec[j_alpha])`` at ``j`` with slot
+    ``alpha`` set to ``i``; distinct rows but for the diagonal ``i = j_alpha``.
+    """
+    d = kvec.size
+    cols = np.arange(d**n_slots)[:, None, None]
+    place = d ** np.arange(n_slots - 1, -1, -1)[:, None]  # slot 1 varies slowest
+    digits = cols // place % d
+    rows = cols + (np.arange(d) - digits) * place
+    return rows, kvec * kvec.conj()[digits]
 
 
 def dense_apply_frequency(
@@ -127,8 +129,14 @@ def dense_apply_frequency(
     ``k``-th measurement vector acting on that slot alone.
     """
     kvec = _measurement_vector(k, v.d, basis)
-    res = _apply_frequency_array(v.as_tensor(), kvec, v.n_slots)
-    return DenseVector(v.d, v.n_slots, res.reshape(-1))
+    t = v.as_tensor()
+    out = np.zeros_like(t)
+    kc = kvec.conj()
+    for alpha in range(v.n_slots):
+        amp = np.tensordot(kc, t, axes=(0, alpha))
+        out += np.moveaxis(np.multiply.outer(kvec, amp), 0, alpha)
+    out /= v.n_slots
+    return DenseVector(v.d, v.n_slots, out.reshape(-1))
 
 
 def dense_frequency_matrix(
@@ -139,9 +147,11 @@ def dense_frequency_matrix(
     if size > MATRIX_CAP:
         raise ValueError(f"matrix side {size} exceeds the cap {MATRIX_CAP}")
     kvec = _measurement_vector(k, d, basis)
-    ident = np.eye(size, dtype=np.complex128).reshape((d,) * n_slots + (size,))
-    cols = _apply_frequency_array(ident, kvec, n_slots)
-    return cols.reshape(size, size)
+    rows, vals = _frequency_entries(kvec, n_slots)
+    m = np.zeros((size, size), dtype=np.complex128)
+    np.add.at(m, (rows, np.arange(size)[:, None, None]), vals)
+    m /= n_slots
+    return m
 
 
 def dense_spectrum(
@@ -153,31 +163,20 @@ def dense_spectrum(
 
 
 def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray, float]:
-    """Push every standard product basis vector through the operator.
+    """Eigenvalue and residual of ``f`` at every standard product basis vector.
 
-    Returns the extracted eigenvalue for each of the ``d**N`` basis vectors
-    together with the worst residual ``||f e_j - lambda_j e_j||``. Covers
-    sizes where the explicit matrix would not fit; the standard basis
-    diagonalizes the standard-basis frequency operator, and this verifies
-    that numerically rather than assuming it.
+    Returns ``lambda_j = Re f_jj`` for each ``e_j`` and the worst residual
+    ``||f e_j - lambda_j e_j||``: this checks, beyond the matrix cap, rather
+    than assumes that the standard basis diagonalizes the operator.
     """
     size = _dense_size(d, n_slots)
     kvec = _measurement_vector(k, d, None)
-    eigs = np.empty(size)
-    worst = 0.0
-    for start in range(0, size, EIGENCHECK_BLOCK):
-        stop = min(start + EIGENCHECK_BLOCK, size)
-        block = np.zeros((size, stop - start), dtype=np.complex128)
-        block[start:stop] = np.eye(stop - start, dtype=np.complex128)
-        res = _apply_frequency_array(
-            block.reshape((d,) * n_slots + (stop - start,)), kvec, n_slots
-        ).reshape(size, stop - start)
-        lam = np.real(res[start:stop].diagonal()).copy()
-        res[start:stop] -= np.diag(lam)
-        eigs[start:stop] = lam
-        block_worst = float(np.max(np.linalg.norm(res, axis=0))) if res.size else 0.0
-        worst = max(worst, block_worst)
-    return eigs, worst
+    rows, vals = _frequency_entries(kvec, n_slots)
+    on_diag = rows == np.arange(size)[:, None, None]
+    diag = np.where(on_diag, vals, 0).sum(axis=(1, 2)) / n_slots
+    off = np.where(on_diag, 0, vals).reshape(size, -1) / n_slots
+    residuals = np.linalg.norm(np.column_stack([off, diag.imag]), axis=1)
+    return diag.real.copy(), float(np.max(residuals))
 
 
 def dense_deviation(

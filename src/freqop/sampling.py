@@ -16,6 +16,7 @@ import numpy as np
 from .hilbert import StateVector, UnitaryMatrix
 
 DRAW_BLOCK = 2**20  # draws per block, so memory stays bounded for any n_samples
+MAX_DRAWS = 10**9  # about 33 s of drawing, so time stays bounded too
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,8 @@ def sample_ensemble(
     spread ``sqrt(p(1-p)/n)``; the returned z-scores measure each count
     against that. Identical arguments give an identical record.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    if not 1 <= n_samples <= MAX_DRAWS:
+        raise ValueError(f"n_samples must be in 1..{MAX_DRAWS}")
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     p = outcome_probabilities(s, basis)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import FrequencyReport, FrequencySpec, deviation_norm
-from .hilbert import HermitianOperator, StateVector, UnitaryMatrix, evolve
+from .hilbert import HermitianOperator, UnitaryMatrix, evolve
 
 
 @dataclass(frozen=True)
@@ -47,11 +47,6 @@ def propagator(spec: SequentialSpec) -> UnitaryMatrix:
     return evolve(spec.hamiltonian, spec.dt)
 
 
-def evolved_record_state(spec: SequentialSpec) -> StateVector:
-    """The state one run ends in: ``U|m>`` (column m of the propagator)."""
-    return propagator(spec).column(spec.m)
-
-
 def succession_probabilities(
     h: HermitianOperator, dt: float, m: int
 ) -> np.ndarray:
@@ -71,6 +66,6 @@ def succession_frequency(
     The report's ``p`` is the succession weight ``q = |<n|U|m>|^2`` and the
     deviation obeys ``deviation^2 = (q - q^2)/M``.
     """
-    s = evolved_record_state(spec)
+    s = propagator(spec).column(spec.m)  # the state one run ends in: U|m>
     fspec = FrequencySpec(k=spec.n, n_slots=spec.successions)
     return deviation_norm(fspec, s, oracle=oracle)

@@ -26,6 +26,7 @@ from .scenarios import epr_check, wigner_friend_check
 from .sequential import SequentialSpec, succession_frequency, succession_probabilities
 
 DEFAULT_SEED = 42
+SEED_MAX = 2**63 - 1  # key [seed, lane] stays int64; above, seeds merge as float64
 SPECTRUM_TOL = 1e-9
 SAMPLING_Z_LIMIT = 5.0
 
@@ -212,6 +213,8 @@ def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[Su
     The orthogonality suite demands exact zeros and the sampling suite uses
     its statistical z limit; neither takes the override.
     """
+    if not 0 <= seed <= SEED_MAX:
+        raise ValueError(f"seed must be in 0..{SEED_MAX}")
     tol = VERIFY_TOL if tolerance is None else tolerance
     spec_tol = SPECTRUM_TOL if tolerance is None else tolerance
     residual_tol = 1e-12 if tolerance is None else tolerance

@@ -232,6 +232,18 @@ def test_verify_all_seed_must_fit_a_signed_64_bit_key(runner):
         assert result.stdout == ""
 
 
+def test_sample_refuses_more_draws_than_the_bound_before_drawing(runner, monkeypatch):
+    # 10**9 draws take about half a minute; a larger --n is refused at once
+    def no_generator(*args, **kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr("freqop.sampling.np.random.Philox", no_generator)
+    for bad in ("1000000001", str(10**15)):
+        result = runner.invoke(main, ["sample", "--amps", "0.6;0.8", "--n", bad])
+        assert result.exit_code == 2, bad
+        assert result.stdout == ""
+
+
 def test_internal_error_exits_3(runner, monkeypatch):
     def crash(seed, tolerance):
         raise RuntimeError("internal fault")

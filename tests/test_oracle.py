@@ -117,6 +117,37 @@ def test_eigencheck_multiplicities_larger_case():
         assert count == math.comb(5, j) * 2 ** (5 - j)
 
 
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (2, 5), (4, 2)])
+def test_matrix_columns_are_the_action_on_basis_vectors(d, n, rng):
+    # the matrix is read off the operator's definition entry by entry, the
+    # action applies it slot by slot: two independent computations
+    size = d**n
+    u = random_unitary(d, rng)
+    for k in range(d):
+        m = dense_frequency_matrix(k, n, d)
+        mu = dense_frequency_matrix(k, n, d, basis=u)
+        for j in range(size):
+            e = DenseVector(d, n, np.eye(size)[j])
+            assert m[:, j].tobytes() == dense_apply_frequency(k, e).amps.tobytes()
+            rotated = dense_apply_frequency(k, e, u).amps
+            npt.assert_allclose(mu[:, j], rotated, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
+def test_eigencheck_agrees_with_the_action(d, n):
+    size = d**n
+    for k in range(d):
+        eigs, worst = eigencheck_standard_basis(k, n, d)
+        residuals = []
+        for j in range(size):
+            e = DenseVector(d, n, np.eye(size)[j])
+            col = dense_apply_frequency(k, e).amps.copy()
+            assert eigs[j] == col[j].real
+            col[j] -= col[j].real
+            residuals.append(np.linalg.norm(col))
+        assert worst == max(residuals)
+
+
 def test_matrix_cap():
     with pytest.raises(ValueError, match="cap"):
         dense_frequency_matrix(0, 11, 2)

@@ -94,3 +94,10 @@ def test_input_validation():
             S68, 10, seed=1,
             basis=random_unitary(3, np.random.default_rng(0)),
         )
+
+
+def test_draw_count_is_bounded():
+    # the bound is checked before any draw, so a huge request fails at once
+    assert sampling.MAX_DRAWS == 10**9
+    with pytest.raises(ValueError, match="n_samples"):
+        sample_ensemble(S68, sampling.MAX_DRAWS + 1, seed=1)

@@ -1,3 +1,6 @@
+import pytest
+
+from freqop import verify
 from freqop.verify import run_all
 
 
@@ -15,3 +18,15 @@ def test_runs_are_deterministic():
 def test_overtight_tolerance_reports_failures():
     results = run_all(seed=42, tolerance=1e-16)
     assert sum(r.failures for r in results) > 0
+
+
+def test_seed_outside_the_key_range_is_refused_before_any_suite(monkeypatch):
+    # from 2**63 on the generator key [seed, lane] turns float64, so
+    # neighbouring seeds would run identical inputs
+    def no_suite(seed, lane):
+        raise AssertionError("a suite ran")
+
+    monkeypatch.setattr(verify, "_rng", no_suite)
+    for bad in (-1, 2**63, 2**63 + 1):
+        with pytest.raises(ValueError, match="seed"):
+            run_all(seed=bad)
