@@ -20,8 +20,8 @@ from .oracle import dense_deviation
 from .product import (
     TAIL_EPS,
     ProductState,
+    _edited,
     _self_product,
-    _trusted_term,
     add,
     ensemble,
     inner_infinite,
@@ -89,8 +89,8 @@ def apply_frequency(spec: FrequencySpec, psi: ProductState) -> ProductState:
     Terms whose overlap is exactly zero are omitted, so a preparation
     orthogonal to the counted outcome maps to the empty (zero) state.
 
-    Every term's prefix must fit inside the first N slots; the operator
-    leaves all later slots untouched.
+    Every term's edited slots must lie within the first N slots; the
+    operator leaves all later slots untouched.
     """
     d = psi.dim
     n = spec.n_slots
@@ -102,25 +102,24 @@ def apply_frequency(spec: FrequencySpec, psi: ProductState) -> ProductState:
                 f"term prefix length {t.prefix_len} exceeds the operator's "
                 f"n_slots={n}"
             )
-        slots = list(t.prefix) + [t.tail] * (n - t.prefix_len)
-        for alpha in range(n):
-            a = complex(np.vdot(kvec, slots[alpha]))
+        for alpha in range(1, n + 1):
+            a = complex(np.vdot(kvec, t.slot(alpha)))
             if a == 0:
                 continue
-            prefix = tuple(slots[:alpha]) + (kvec,) + tuple(slots[alpha + 1 :])
-            out.append(_trusted_term(t.coeff * a / n, prefix, t.tail, d))
+            out.append(_edited(t, t.coeff * a / n, alpha, kvec))
     return ProductState(out, dim=d)
 
 
-def _counted_products(a: complex, n: int) -> tuple[float, float]:
-    # Gram sum over the n projected terms with multiplicities counted:
-    # the diagonal contributes n unit self-overlaps, the n(n-1) off-diagonal
-    # pairs each contribute a * conj(a). Slot vectors are unit by contract.
-    p_pair = (a * a.conjugate()).real
-    w2 = p_pair / (n * n)
-    applied_sq = n * w2 + n * (n - 1) * w2 * p_pair
-    cross = p_pair  # <ensemble | applied>, same counting with one term
-    return applied_sq, cross
+def _slot_deviation(kvec: np.ndarray, s: StateVector) -> tuple[float, float]:
+    """``||v||^2`` and ``|<s|v>|^2`` of the one-slot deviation ``v = a k - p s``.
+
+    ``(f_N - p)|s>^infinity`` is the mean over the N slots of ``v`` placed
+    there. Both numbers come from the amplitude vectors, not from ``p - p^2``,
+    so nothing of size ``p^2`` cancels, however large N is.
+    """
+    a = complex(np.vdot(kvec, s.amps))
+    v = a * kvec - (a * a.conjugate()).real * s.amps
+    return float(np.vdot(v, v).real), abs(complex(np.vdot(s.amps, v))) ** 2
 
 
 def deviation_norm(
@@ -152,8 +151,12 @@ def deviation_norm(
         delta = add(phi, scale(psi, -p))
         dev_sq = _self_product(delta)
     elif method == "counted":
-        applied_sq, cross = _counted_products(a, n)
-        dev_sq = applied_sq - 2.0 * p * cross + p * p
+        # Counted Gram sums over the n one-slot terms: the n diagonal pairs give
+        # 1 (projected) and |v|^2 (deviation), the n(n-1) others p and |<s|v>|^2.
+        w2 = p / (n * n)
+        applied_sq = n * w2 + n * (n - 1) * w2 * p
+        v_sq, sv_sq = _slot_deviation(kvec, s)
+        dev_sq = (v_sq + (n - 1) * sv_sq) / n
     else:
         raise ValueError(f"unknown method {method!r}")
     oracle_dev = dense_deviation(s, spec.k, n, spec.basis) if oracle else None
@@ -186,7 +189,6 @@ def cauchy_gap(
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     kvec = _measurement_vector(k, s.dim, basis)
-    a = complex(np.vdot(kvec, s.amps))
     if method == "auto":
         method = "gram" if n <= GRAM_LIMIT else "counted"
     if method == "gram":
@@ -196,13 +198,10 @@ def cauchy_gap(
         delta = add(phi_n, scale(phi_m, -1.0))
         return _self_product(delta)
     if method == "counted":
-        p_pair = (a * a.conjugate()).real
-        w = np.full(n, a / n)
-        w[:m] -= a / m
-        sum_w = complex(w.sum())
-        sum_w2 = float(np.sum(np.abs(w) ** 2))
-        gap_sq = sum_w2 + (abs(sum_w) ** 2 - sum_w2) * p_pair
-        return max(gap_sq, 0.0)
+        # v at slot alpha with weight 1/N - 1/M (alpha <= M) or 1/N (up to N):
+        # the weights sum to 0 and their squares to (N - M)/(N M).
+        v_sq, sv_sq = _slot_deviation(kvec, s)
+        return max((n - m) / (n * m) * (v_sq - sv_sq), 0.0)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -221,14 +220,12 @@ def cauchy_gap_grid(
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    d = s.dim
-    kvec = _measurement_vector(k, d, basis)
+    kvec = _measurement_vector(k, s.dim, basis)
     a = complex(np.vdot(kvec, s.amps))
-    terms = [
-        _trusted_term(1.0 + 0j, (s.amps,) * (alpha - 1) + (kvec,), s.amps, d)
-        for alpha in range(1, n_max + 1)
-    ]
-    block = ProductState(terms, dim=d)
+    (base,) = ensemble(s).terms
+    block = ProductState(
+        [_edited(base, 1.0 + 0j, alpha, kvec) for alpha in range(1, n_max + 1)]
+    )
     gram = pairwise_term_gram(block, block)
     out = np.full((n_max, n_max), np.nan)
     for m in range(1, n_max + 1):

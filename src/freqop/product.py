@@ -1,16 +1,17 @@
 """Linear combinations of infinite product vectors with constant tails.
 
-A term is ``coeff * |v_1> |v_2> ... |v_L> |t> |t> |t> ...``: a finite prefix
-of arbitrary slot vectors followed by one unit vector repeated forever. All
-ensemble states used elsewhere in this package live in this class, and it is
-closed under the frequency operators (they touch finitely many slots).
+A term is ``coeff * |t> |t> |t> ...`` with finitely many slots edited: a
+unit tail vector repeated forever, except at the edited slot positions,
+which hold arbitrary slot vectors (von Neumann's incomplete tensor product).
+All ensemble states used elsewhere in this package live in this class, and
+it is closed under the frequency operators (they touch finitely many slots).
 
-The scalar product of two terms is the product of slot-wise overlaps. The
-prefix part is a finite product; the remaining infinite run of identical
-factors ``z = <tail_a|tail_b>`` either converges to 1 (when ``z`` is 1) or
-kills the term pair (|z| < 1 drives the product to zero; a unimodular
-``z != 1`` never settles, and such pairs are assigned overlap zero as well).
-``TAIL_EPS`` makes that dichotomy numerically explicit.
+The scalar product of two terms is the product of slot-wise overlaps. Up to
+the last edited slot of either term it is a finite product; the remaining
+infinite run of identical factors ``z = <tail_a|tail_b>`` either converges
+to 1 (when ``z`` is 1) or kills the term pair (|z| < 1 drives the product to
+zero; a unimodular ``z != 1`` never settles, and such pairs are assigned
+overlap zero as well). ``TAIL_EPS`` makes that dichotomy numerically explicit.
 """
 
 from __future__ import annotations
@@ -45,13 +46,14 @@ def _slot_array(slot, what: str) -> np.ndarray:
 
 
 class ProductTerm:
-    """One weighted product vector: finite prefix plus constant unit tail.
+    """One weighted product vector: a constant unit tail with edited slots.
 
-    Prefix slots may have any norm (projections happen in place there);
-    the tail must be a unit vector, since it repeats forever.
+    Slot ``i`` of ``prefix`` edits position ``i`` (1-based). Edited slots may
+    have any norm (projections happen in place there); the tail must be a
+    unit vector, since it repeats forever.
     """
 
-    __slots__ = ("_coeff", "_prefix", "_tail", "_dim")
+    __slots__ = ("_coeff", "_edits", "_tail", "_dim")
 
     def __init__(self, coeff: complex, prefix, tail):
         c = complex(coeff)
@@ -62,26 +64,22 @@ class ProductTerm:
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"tail norm {n:.12g} deviates from 1 beyond {NORM_TOL}")
         d = tail_arr.size
-        slots = []
-        for i, s in enumerate(prefix):
-            a = _slot_array(s, f"prefix slot {i + 1}")
+        edits = {}
+        for alpha, s in enumerate(prefix, start=1):
+            a = _slot_array(s, f"prefix slot {alpha}")
             if a.size != d:
                 raise ValueError(
-                    f"prefix slot {i + 1} has dim {a.size}, tail has dim {d}"
+                    f"prefix slot {alpha} has dim {a.size}, tail has dim {d}"
                 )
-            slots.append(a)
+            edits[alpha] = a
         self._coeff = c
-        self._prefix = tuple(slots)
+        self._edits = edits
         self._tail = tail_arr
         self._dim = d
 
     @property
     def coeff(self) -> complex:
         return self._coeff
-
-    @property
-    def prefix(self) -> tuple[np.ndarray, ...]:
-        return self._prefix
 
     @property
     def tail(self) -> np.ndarray:
@@ -93,31 +91,30 @@ class ProductTerm:
 
     @property
     def prefix_len(self) -> int:
-        return len(self._prefix)
+        return max(self._edits, default=0)
 
     def slot(self, alpha: int) -> np.ndarray:
-        """Slot vector at 1-based position ``alpha`` (the tail beyond the prefix)."""
+        """Slot vector at 1-based position ``alpha`` (the tail if not edited)."""
         if alpha < 1:
             raise ValueError("slot positions are 1-based")
-        if alpha <= len(self._prefix):
-            return self._prefix[alpha - 1]
-        return self._tail
+        return self._edits.get(alpha, self._tail)
 
     def __repr__(self) -> str:
         return (
-            f"ProductTerm(dim={self._dim}, prefix_len={len(self._prefix)}, "
+            f"ProductTerm(dim={self._dim}, prefix_len={self.prefix_len}, "
             f"coeff={self._coeff:.6g})"
         )
 
 
-def _trusted_term(coeff: complex, prefix: tuple, tail: np.ndarray, dim: int) -> ProductTerm:
-    # Internal constructor for already-validated, possibly shared arrays.
-    t = ProductTerm.__new__(ProductTerm)
-    t._coeff = coeff
-    t._prefix = prefix
-    t._tail = tail
-    t._dim = dim
-    return t
+def _edited(t: ProductTerm, coeff: complex, alpha: int | None = None, v=None):
+    # t with coefficient coeff and, if alpha is given, slot alpha set to v;
+    # the arrays are shared, not copied or checked.
+    u = ProductTerm.__new__(ProductTerm)
+    u._coeff = coeff
+    u._edits = t._edits if alpha is None else {**t._edits, alpha: v}
+    u._tail = t._tail
+    u._dim = t._dim
+    return u
 
 
 class ProductState:
@@ -175,31 +172,30 @@ def scale(a: ProductState, c: complex) -> ProductState:
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError("scale factor must be finite")
     return ProductState(
-        [_trusted_term(t.coeff * c, t.prefix, t.tail, t.dim) for t in a.terms],
+        [_edited(t, t.coeff * c) for t in a.terms],
         dim=a.dim,
     )
 
 
 def _stacked_slots(state: ProductState, length: int) -> np.ndarray:
-    # (n_terms, length, dim): each term's prefix continued by its tail.
-    out = np.empty((len(state.terms), length, state.dim), dtype=np.complex128)
+    # (n_terms, length, dim): each term's tail, overwritten at its edited
+    # slots; every edited slot lies within ``length``.
+    tails = np.stack([t.tail for t in state.terms])
+    out = np.repeat(tails[:, None, :], length, axis=1)
     for i, t in enumerate(state.terms):
-        k = min(t.prefix_len, length)
-        for j in range(k):
-            out[i, j] = t.prefix[j]
-        if k < length:
-            out[i, k:] = t.tail
+        for alpha, v in t._edits.items():
+            out[i, alpha - 1] = v
     return out
 
 
 def pairwise_term_gram(a: ProductState, b: ProductState) -> np.ndarray:
     """Matrix of term-pair scalar products, coefficients excluded.
 
-    Entry (i, j) is ``prod_alpha <slot_i(alpha)|slot_j(alpha)>`` over the
-    union prefix span, times the tail factor; when the tail factors zero
-    every pair, no slot is visited. Slot products are accumulated one slot
-    position at a time across all term pairs, so the evaluation order is
-    fixed by term index and reproducible.
+    Entry (i, j) is ``prod_alpha <slot_i(alpha)|slot_j(alpha)>`` up to the
+    last edited slot of either state, times the tail factor; when the tail
+    factors zero every pair, no slot is visited. Slot products are
+    accumulated one slot position at a time across all term pairs, so the
+    evaluation order is fixed by term index and reproducible.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")

@@ -89,6 +89,19 @@ def test_counted_route_matches_closed_form(rng):
         assert abs(rep.deviation_exact**2 - rep.deviation_closed**2) <= 1e-15
 
 
+def test_counted_route_keeps_relative_accuracy_at_huge_n(rng):
+    # dev^2 is about p/N; a sum of terms of size p^2 loses it at large N
+    # (at N = 2**53 it came out as exactly 0)
+    for _ in range(24):
+        d = int(rng.integers(2, 6))
+        s = random_state(d, rng)
+        k = int(rng.integers(d))
+        for n in (10**12, 2**53):
+            rep = deviation_norm(FrequencySpec(k, n), s, method="counted")
+            closed_sq = (rep.p - rep.p * rep.p) / n
+            assert abs(rep.deviation_exact**2 - closed_sq) <= 1e-12 * closed_sq
+
+
 def test_gram_and_counted_routes_agree_at_crossover(rng):
     s = random_state(4, rng)
     g = deviation_norm(FrequencySpec(2, 512), s, method="gram")
@@ -166,6 +179,15 @@ def test_cauchy_gap_formula_and_bound(rng):
                 gap = cauchy_gap(k, m, n, s, method=method)
                 assert abs(gap - closed) <= 1e-12
                 assert gap <= (1.0 / m - 1.0 / n) + 1e-12
+
+
+def test_counted_cauchy_gap_at_huge_n(rng):
+    # no per-slot weight array: n = 2**50 costs what n = 2 does
+    s = random_state(3, rng)
+    p = abs(s.amps[1]) ** 2
+    closed = (1.0 - 1.0 / 2**50) * (p - p * p)
+    gap = cauchy_gap(1, 1, 2**50, s, method="counted")
+    assert abs(gap - closed) <= 1e-12 * closed
 
 
 def test_cauchy_gap_input_validation(rng):

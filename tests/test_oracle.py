@@ -3,7 +3,10 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from freqop.frequency import FrequencySpec, apply_frequency
 from freqop.hilbert import StateVector, random_state, random_unitary
 from freqop.oracle import (
     DENSE_CAP,
@@ -17,7 +20,7 @@ from freqop.oracle import (
     eigencheck_standard_basis,
     kron_power,
 )
-from freqop.product import ProductState, ProductTerm
+from freqop.product import ProductState, ProductTerm, _edited, add, inner_infinite
 
 
 def test_dense_vector_validation():
@@ -188,3 +191,56 @@ def test_embedding_preserves_products_for_shared_tails(rng):
 
     dense = dense_inner(dense_embed(a, 4), dense_embed(b, 4))
     npt.assert_allclose(dense, inner_infinite(a, b), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# property tests: terms with several edited slots, not contiguous and shared
+# between terms, over two tail classes, against the dense route
+
+_WINDOW = 6  # every edit lies within the first _WINDOW slots
+_TAILS = (np.array([0.6, 0.8], dtype=complex),
+          np.array([1.0, 1.0j], dtype=complex) / math.sqrt(2.0))
+_BASIS = random_unitary(2, np.random.default_rng(3))
+_entry = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def edited_states(draw, tail_class):
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        t = ProductTerm(complex(draw(_entry), draw(_entry)), (), _TAILS[tail_class])
+        for alpha in draw(st.sets(st.integers(1, _WINDOW), max_size=4)):
+            v = np.array([complex(draw(_entry), draw(_entry)) for _ in range(2)])
+            t = _edited(t, t.coeff, alpha, v)
+        terms.append(t)
+    return ProductState(terms)
+
+
+def _dense_product(a, b):
+    return dense_inner(dense_embed(a, _WINDOW), dense_embed(b, _WINDOW))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(edited_states(0), edited_states(1), edited_states(0), edited_states(1))
+def test_property_edited_terms_products_match_dense(a0, a1, b0, b1):
+    for a, b in ((a0, b0), (a1, b1)):
+        npt.assert_allclose(
+            inner_infinite(a, b), _dense_product(a, b), rtol=1e-10, atol=1e-12
+        )
+    assert inner_infinite(a0, b1) == 0j
+    assert inner_infinite(a1, b0) == 0j
+    npt.assert_allclose(
+        inner_infinite(add(a0, a1), add(b0, b1)),
+        _dense_product(a0, b0) + _dense_product(a1, b1),
+        rtol=1e-10, atol=1e-12,
+    )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(edited_states(0), edited_states(1), st.integers(0, 1), st.booleans())
+def test_property_frequency_image_of_edited_terms_matches_dense(a0, a1, k, rotated):
+    basis = _BASIS if rotated else None
+    a = add(a0, a1)
+    image = apply_frequency(FrequencySpec(k, _WINDOW, basis), a)
+    direct = dense_apply_frequency(k, dense_embed(a, _WINDOW), basis)
+    npt.assert_allclose(dense_embed(image, _WINDOW).amps, direct.amps, atol=1e-12)
