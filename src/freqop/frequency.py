@@ -20,12 +20,12 @@ from .oracle import dense_deviation
 from .product import (
     TAIL_EPS,
     ProductState,
+    _class_factors,
     _edited,
     _self_product,
     add,
     ensemble,
     inner_infinite,
-    pairwise_term_gram,
     scale,
 )
 
@@ -211,31 +211,34 @@ def cauchy_gap_grid(
     n_max: int,
     basis: UnitaryMatrix | None = None,
 ) -> np.ndarray:
-    """All squared gaps for ``1 <= m <= n <= n_max`` from one term Gram.
+    """All squared gaps for ``1 <= m <= n <= n_max`` from one factorisation.
 
     Entry ``[m-1, n-1]`` holds the squared gap; entries below the diagonal
-    are NaN. The Gram matrix of the ``n_max`` projected terms is built once
-    from actual slot vectors (the same machinery as the gram method of
-    `cauchy_gap`), then each (m, n) pair only recombines coefficients.
+    are NaN. The ``n_max`` projected terms are factorised once from actual
+    slot vectors (the same machinery as the gram method of `cauchy_gap`);
+    each (m, n) pair then recombines prefix sums of the factors, weighted
+    by the coefficients ``a/n - a/m`` up to slot m and ``a/n`` up to slot n.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     kvec = _measurement_vector(k, s.dim, basis)
     a = complex(np.vdot(kvec, s.amps))
     (base,) = ensemble(s).terms
-    block = ProductState(
-        [_edited(base, 1.0 + 0j, alpha, kvec) for alpha in range(1, n_max + 1)]
-    )
-    gram = pairwise_term_gram(block, block)
-    out = np.full((n_max, n_max), np.nan)
-    for m in range(1, n_max + 1):
-        for n in range(m, n_max + 1):
-            w = np.zeros(n_max, dtype=np.complex128)
-            w[:n] = a / n
-            w[:m] -= a / m
-            gap_sq = float(np.real(w.conj() @ gram @ w))
-            out[m - 1, n - 1] = max(gap_sq, 0.0)
-    return out
+    block = [_edited(base, 1.0 + 0j, alpha, kvec) for alpha in range(1, n_max + 1)]
+    x, y, shared = _class_factors(block, block)
+    # each term edits its own slot, so only the diagonal pairs are exceptions;
+    # each adds its exact product minus its rank-one value
+    excess = np.zeros(n_max, dtype=np.complex128)
+    for i, j, g in shared:
+        excess[i] = g - x[i] * y[j]
+    xs, ys, es = np.cumsum(x), np.cumsum(y), np.cumsum(excess)
+    m = np.arange(1, n_max + 1)[:, None]
+    n = m.T
+    sx = a.conjugate() * (xs[n - 1] / n - xs[m - 1] / m)
+    sy = a * (ys[n - 1] / n - ys[m - 1] / m)
+    se = abs(a) ** 2 * ((1 / n - 1 / m) ** 2 * es[m - 1] + (es[n - 1] - es[m - 1]) / n**2)
+    gap_sq = np.maximum((sx * sy + se).real, 0.0)
+    return np.where(m <= n, gap_sq, np.nan)
 
 
 def cross_orthogonality(

@@ -9,6 +9,8 @@ a real cross-check. Capped at ``d**N <= 2**20`` amplitudes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .hilbert import StateVector, UnitaryMatrix, _measurement_vector
@@ -187,4 +189,8 @@ def dense_deviation(
     p = abs(complex(np.vdot(kvec, s.amps))) ** 2
     v = kron_power(s, n_slots)
     w = dense_apply_frequency(k, v, basis)
-    return float(np.linalg.norm(w.amps - p * v.amps))
+    # squared in place and summed pairwise: no BLAS reduction, whose bits
+    # would depend on the thread count, and no further 16 MB temporary
+    sq = (w.amps - p * v.amps).view(np.float64)
+    np.multiply(sq, sq, out=sq)
+    return math.sqrt(sq.sum())

@@ -6,12 +6,13 @@ which hold arbitrary slot vectors (von Neumann's incomplete tensor product).
 All ensemble states used elsewhere in this package live in this class, and
 it is closed under the frequency operators (they touch finitely many slots).
 
-The scalar product of two terms is the product of slot-wise overlaps. Up to
-the last edited slot of either term it is a finite product; the remaining
-infinite run of identical factors ``z = <tail_a|tail_b>`` either converges
-to 1 (when ``z`` is 1) or kills the term pair (|z| < 1 drives the product to
-zero; a unimodular ``z != 1`` never settles, and such pairs are assigned
-overlap zero as well). ``TAIL_EPS`` makes that dichotomy numerically explicit.
+The scalar product of two terms is the product of slot-wise overlaps. Over
+the slots either term edits it is a finite product; the infinite run of
+identical factors ``z = <tail_a|tail_b>`` at every other slot either
+converges to 1 (when ``z`` is 1) or kills the term pair (|z| < 1 drives the
+product to zero; a unimodular ``z != 1`` never settles, and such pairs are
+assigned overlap zero as well). ``TAIL_EPS`` makes that dichotomy
+numerically explicit.
 """
 
 from __future__ import annotations
@@ -24,16 +25,6 @@ from .hilbert import HERMITIAN_TOL, NORM_TOL, StateVector, _as_complex_vector
 
 
 TAIL_EPS = 1e-12  # tails with |<tail_a|tail_b> - 1| <= TAIL_EPS count as equal
-
-
-def _tail_factor(z) -> np.ndarray:
-    """Elementwise tail factor of the tail overlaps ``z``: 1 or exactly 0.
-
-    The factor is 1 when ``|z - 1| <= TAIL_EPS`` and exactly 0 otherwise. The
-    factors come as complex numbers, so that the slot overlaps of a term pair
-    multiply into them in place.
-    """
-    return (np.abs(z - 1.0) <= TAIL_EPS).astype(np.complex128)
 
 
 def _slot_array(slot, what: str) -> np.ndarray:
@@ -177,58 +168,86 @@ def scale(a: ProductState, c: complex) -> ProductState:
     )
 
 
-def _stacked_slots(state: ProductState, length: int) -> np.ndarray:
-    # (n_terms, length, dim): each term's tail, overwritten at its edited
-    # slots; every edited slot lies within ``length``.
-    tails = np.stack([t.tail for t in state.terms])
-    out = np.repeat(tails[:, None, :], length, axis=1)
-    for i, t in enumerate(state.terms):
-        for alpha, v in t._edits.items():
-            out[i, alpha - 1] = v
-    return out
+def _tail_classes(state: ProductState) -> list[list[ProductTerm]]:
+    # terms grouped by equal tail, in order of first appearance
+    classes = {}
+    for t in state.terms:
+        classes.setdefault(t._tail.tobytes(), []).append(t)
+    return list(classes.values())
 
 
-def pairwise_term_gram(a: ProductState, b: ProductState) -> np.ndarray:
-    """Matrix of term-pair scalar products, coefficients excluded.
+def _pair_product(ea: dict, eb: dict, tail_a, tail_b, overlap) -> complex:
+    # prod over the edited slots of either term of <slot_a(alpha)|slot_b(alpha)>;
+    # the slots neither term edits count as 1, as past the last edit
+    g = 1 + 0j
+    for alpha, u in ea.items():
+        g *= overlap(u, eb.get(alpha, tail_b))
+    for beta, v in eb.items():
+        if beta not in ea:
+            g *= overlap(tail_a, v)
+    return g
 
-    Entry (i, j) is ``prod_alpha <slot_i(alpha)|slot_j(alpha)>`` up to the
-    last edited slot of either state, times the tail factor; when the tail
-    factors zero every pair, no slot is visited. Slot products are
-    accumulated one slot position at a time across all term pairs, so the
-    evaluation order is fixed by term index and reproducible.
+
+def _class_factors(ta: list[ProductTerm], tb: list[ProductTerm]):
+    """Factors of the term-pair products of one tail class of each state.
+
+    An edit of term i meets tail b at every slot term j leaves alone, so
+    the pair's product, coefficients excluded, is ``x_i y_j`` with
+    ``x_i = prod <e_i(alpha)|tail_b>`` over term i's edits and
+    ``y_j = prod <tail_a|e_j(beta)>`` over term j's. The pairs that share
+    an edited slot, found through a slot index, are the exceptions: they
+    come back as ``(i, j, exact product)``, in term order.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    ta, tb = len(a.terms), len(b.terms)
-    if ta == 0 or tb == 0:
-        return np.zeros((ta, tb), dtype=np.complex128)
-    tails_a = np.stack([t.tail for t in a.terms])
-    tails_b = np.stack([t.tail for t in b.terms])
-    z = tails_a.conj() @ tails_b.T
-    gram = _tail_factor(z)
-    if not gram.any():
-        return gram
-    span = max(a.max_prefix_len, b.max_prefix_len)
-    if span:
-        sa = _stacked_slots(a, span)
-        sb = _stacked_slots(b, span)
-        for alpha in range(span):
-            gram *= sa[:, alpha, :].conj() @ sb[:, alpha, :].T
-    return gram
+    tail_a, tail_b = ta[0].tail, tb[0].tail
+    cache = {}
+
+    def overlap(u, v):
+        # slot vectors are read-only and outlive the call: key by identity
+        key = (id(u), id(v))
+        z = cache.get(key)
+        if z is None:
+            z = cache[key] = complex(np.vdot(u, v))
+        return z
+
+    x = [_pair_product(t._edits, {}, tail_a, tail_b, overlap) for t in ta]
+    y = [_pair_product({}, t._edits, tail_a, tail_b, overlap) for t in tb]
+    by_slot = {}
+    for j, t in enumerate(tb):
+        for beta in t._edits:
+            by_slot.setdefault(beta, []).append(j)
+    shared = []
+    for i, t in enumerate(ta):
+        for j in dict.fromkeys(j for alpha in t._edits for j in by_slot.get(alpha, ())):
+            g = _pair_product(t._edits, tb[j]._edits, tail_a, tail_b, overlap)
+            shared.append((i, j, g))
+    return x, y, shared
 
 
 def inner_infinite(a: ProductState, b: ProductState) -> complex:
     """Scalar product ``<a|b>``, antilinear in ``a``.
 
     Bilinear extension over term pairs of the slot-product formula in the
-    module docstring. Exact zeros from the tail rule are exact in the result.
+    module docstring. Within a pair of tail classes the sum over term pairs
+    is the rank-one ``(sum conj(c_i) x_i)(sum c_j y_j)`` of `_class_factors`,
+    with the pairs that share an edited slot traded for their exact product.
+    Class pairs whose tails fail the tail rule are never visited, so exact
+    zeros from the rule are exact in the result.
     """
-    gram = pairwise_term_gram(a, b)
-    if gram.size == 0:
-        return 0j
-    ca = np.array([t.coeff for t in a.terms], dtype=np.complex128)
-    cb = np.array([t.coeff for t in b.terms], dtype=np.complex128)
-    return complex(ca.conj() @ gram @ cb)
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    classes_b = _tail_classes(b)
+    total = 0j
+    for ta in _tail_classes(a):
+        for tb in classes_b:
+            if abs(complex(np.vdot(ta[0].tail, tb[0].tail)) - 1.0) > TAIL_EPS:
+                continue
+            x, y, shared = _class_factors(ta, tb)
+            ca = [t.coeff.conjugate() for t in ta]
+            cb = [t.coeff for t in tb]
+            total += sum(c * xi for c, xi in zip(ca, x)) * sum(c * yj for c, yj in zip(cb, y))
+            for i, j, g in shared:
+                total += ca[i] * cb[j] * (g - x[i] * y[j])
+    return total
 
 
 def _self_product(a: ProductState) -> float:

@@ -2,9 +2,8 @@
 
 Each case runs one command under CliRunner and compares its stdout, byte for
 byte, and its exit code with the file of the same name under ``golden/``.
-Inputs are small (d <= 3, N <= 32): from N = 64 the gram route's matrix
-products change in the last bits with the BLAS thread count. Below that they
-do not, which one case checks at 1 and at 2 threads.
+The bytes do not depend on the BLAS thread count, which a test checks by
+running commands at 1 and at 2 threads.
 """
 
 import json
@@ -50,6 +49,8 @@ CASES = {
     # of the gram route: a kernel that drops them prints other digits.
     "converge_tail.csv": (["converge", "--amps", "0.2;0.4;0.6", "--normalize", "--k", "2",
                            "--ns", "3,17,32"], 0),
+    # the gram route up to its crossover N = 512
+    "converge_512.csv": (["converge", "--amps", "0.6;0.8", "--k", "0", "--ns", "64,256,512"], 0),
     "converge_fail.csv": (["converge", "--amps", "0.6;0.8", "--k", "0", "--ns", "4,32",
                            "--tolerance", "0"], 1),
     "spectrum.csv": (["spectrum", "-d", "2", "--slots", "3", "--k", "1"], 0),
@@ -90,12 +91,20 @@ def test_golden_stdout(name, tmp_path, monkeypatch):
 
 
 def test_stdout_does_not_depend_on_the_blas_thread_count():
-    args = [sys.executable, "-m", "freqop"] + CASES["converge_tail.csv"][0]
-    runs = [
-        subprocess.run(args, capture_output=True, timeout=120,
-                       env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)})
-        for threads in (1, 2)
+    cases = [
+        (CASES["converge_tail.csv"][0], "converge_tail.csv"),
+        (CASES["converge_512.csv"][0], "converge_512.csv"),
+        # the real suites, whose worst errors include the dense oracle's norm
+        (["verify-all", "--seed", "42"], None),
     ]
-    assert [r.returncode for r in runs] == [0, 0]
-    assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout == (GOLDEN / "converge_tail.csv").read_bytes()
+    for args, golden in cases:
+        runs = [
+            subprocess.run([sys.executable, "-m", "freqop"] + args, capture_output=True,
+                           timeout=120,
+                           env={**os.environ, "OPENBLAS_NUM_THREADS": str(threads)})
+            for threads in (1, 2)
+        ]
+        assert [r.returncode for r in runs] == [0, 0], args
+        assert runs[0].stdout == runs[1].stdout, args
+        if golden is not None:
+            assert runs[0].stdout == (GOLDEN / golden).read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqop.frequency import FrequencySpec, apply_frequency
 from freqop.hilbert import StateVector
 from freqop.product import (
     ProductState,
@@ -14,7 +15,6 @@ from freqop.product import (
     ensemble,
     inner_infinite,
     norm,
-    pairwise_term_gram,
     scale,
 )
 
@@ -117,9 +117,17 @@ def test_inner_dimension_mismatch():
 def test_pairwise_gram_shape_and_zero_terms():
     a = ensemble(StateVector([1.0, 0.0]))
     z = ProductState([], dim=2)
-    assert pairwise_term_gram(a, a).shape == (1, 1)
-    assert pairwise_term_gram(z, a).shape == (0, 1)
     assert inner_infinite(z, a) == 0j
+
+
+def test_zero_weight_terms_do_not_change_the_product():
+    # slots no term of a pair edits count as 1, however far another term of
+    # the state reaches: <s|s> is 0.9999999999999999 here, and a kernel that
+    # multiplies it in up to the longest term moves the last bits
+    s = StateVector([0.2, 0.4, 0.6], normalize=True)
+    phi = apply_frequency(FrequencySpec(2, 17), ensemble(s))
+    far = apply_frequency(FrequencySpec(2, 300), ensemble(s))
+    assert inner_infinite(add(phi, scale(far, 0.0)), phi) == inner_infinite(phi, phi)
 
 
 def test_add_and_scale_are_linear():
