@@ -102,8 +102,12 @@ def apply_frequency(spec: FrequencySpec, psi: ProductState) -> ProductState:
                 f"term prefix length {t.prefix_len} exceeds the operator's "
                 f"n_slots={n}"
             )
+        # every unedited slot holds the same tail array: one overlap serves all
+        tail = t.tail
+        tail_a = complex(np.vdot(kvec, tail))
         for alpha in range(1, n + 1):
-            a = complex(np.vdot(kvec, t.slot(alpha)))
+            s = t.slot(alpha)
+            a = tail_a if s is tail else complex(np.vdot(kvec, s))
             if a == 0:
                 continue
             out.append(_edited(t, t.coeff * a / n, alpha, kvec))

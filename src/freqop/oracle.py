@@ -18,6 +18,7 @@ from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
+EIGEN_COLUMNS = 2**10  # columns per eigencheck slice, so its memory does not grow with d**N
 
 
 def _dense_size(d: int, n_slots: int) -> int:
@@ -108,14 +109,17 @@ def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
     return DenseVector(state.dim, n_slots, out)
 
 
-def _frequency_entries(kvec: np.ndarray, n_slots: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and values of the entries of ``N f``, each shaped ``(d**N, N, d)``.
+def _frequency_entries(
+    kvec: np.ndarray, n_slots: int, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and values of the entries of ``N f`` in ``cols``, each ``(cols.size, N, d)``.
 
-    ``[j, alpha, i]``: ``kvec[i] conj(kvec[j_alpha])`` at ``j`` with slot
-    ``alpha`` set to ``i``; distinct rows but for the diagonal ``i = j_alpha``.
+    ``[j, alpha, i]``: ``kvec[i] conj(kvec[c_alpha])`` at ``c = cols[j]``
+    with slot ``alpha`` set to ``i``; distinct rows but for the diagonal
+    ``i = c_alpha``.
     """
     d = kvec.size
-    cols = np.arange(d**n_slots)[:, None, None]
+    cols = cols[:, None, None]
     place = d ** np.arange(n_slots - 1, -1, -1)[:, None]  # slot 1 varies slowest
     digits = cols // place % d
     rows = cols + (np.arange(d) - digits) * place
@@ -128,17 +132,33 @@ def dense_apply_frequency(
     """Apply the N-slot frequency-of-outcome-``k`` operator to ``v``.
 
     The operator is the mean over slots of the rank-one projector onto the
-    ``k``-th measurement vector acting on that slot alone.
+    ``k``-th measurement vector acting on that slot alone. Slot alpha is
+    walked in place through the view ``(d**alpha, d, rest)``; indices where
+    the measurement vector is exactly zero are skipped, since the projector
+    is zero there (in the standard basis only index ``k`` is touched).
     """
-    kvec = _measurement_vector(k, v.d, basis)
-    t = v.as_tensor()
-    out = np.zeros_like(t)
+    d, n = v.d, v.n_slots
+    kvec = _measurement_vector(k, d, basis)
     kc = kvec.conj()
-    for alpha in range(v.n_slots):
-        amp = np.tensordot(kc, t, axes=(0, alpha))
-        out += np.moveaxis(np.multiply.outer(kvec, amp), 0, alpha)
-    out /= v.n_slots
-    return DenseVector(v.d, v.n_slots, out.reshape(-1))
+    first, *rest = np.flatnonzero(kvec)
+    t = v.amps
+    out = np.zeros_like(t)
+    # the projected amplitudes and a product scratch, reused at every slot
+    amp = np.empty(t.size // d, dtype=t.dtype)
+    term = np.empty_like(amp)
+    for alpha in range(n):
+        outer, inner = d**alpha, d ** (n - alpha - 1)
+        tv, ov = t.reshape(outer, d, inner), out.reshape(outer, d, inner)
+        a, w = amp.reshape(outer, inner), term.reshape(outer, inner)
+        np.multiply(tv[:, first, :], kc[first], out=a)
+        for i in rest:
+            np.multiply(tv[:, i, :], kc[i], out=w)
+            a += w
+        for i in (first, *rest):
+            np.multiply(a, kvec[i], out=w)
+            ov[:, i, :] += w
+    out /= n
+    return DenseVector(d, n, out)
 
 
 def dense_frequency_matrix(
@@ -149,9 +169,10 @@ def dense_frequency_matrix(
     if size > MATRIX_CAP:
         raise ValueError(f"matrix side {size} exceeds the cap {MATRIX_CAP}")
     kvec = _measurement_vector(k, d, basis)
-    rows, vals = _frequency_entries(kvec, n_slots)
+    cols = np.arange(size)
+    rows, vals = _frequency_entries(kvec, n_slots, cols)
     m = np.zeros((size, size), dtype=np.complex128)
-    np.add.at(m, (rows, np.arange(size)[:, None, None]), vals)
+    np.add.at(m, (rows, cols[:, None, None]), vals)
     m /= n_slots
     return m
 
@@ -169,16 +190,23 @@ def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray,
 
     Returns ``lambda_j = Re f_jj`` for each ``e_j`` and the worst residual
     ``||f e_j - lambda_j e_j||``: this checks, beyond the matrix cap, rather
-    than assumes that the standard basis diagonalizes the operator.
+    than assumes that the standard basis diagonalizes the operator. The
+    columns are read ``EIGEN_COLUMNS`` at a time.
     """
     size = _dense_size(d, n_slots)
     kvec = _measurement_vector(k, d, None)
-    rows, vals = _frequency_entries(kvec, n_slots)
-    on_diag = rows == np.arange(size)[:, None, None]
-    diag = np.where(on_diag, vals, 0).sum(axis=(1, 2)) / n_slots
-    off = np.where(on_diag, 0, vals).reshape(size, -1) / n_slots
-    residuals = np.linalg.norm(np.column_stack([off, diag.imag]), axis=1)
-    return diag.real.copy(), float(np.max(residuals))
+    eigs = np.empty(size)
+    worst = 0.0
+    for start in range(0, size, EIGEN_COLUMNS):
+        cols = np.arange(start, min(start + EIGEN_COLUMNS, size))
+        rows, vals = _frequency_entries(kvec, n_slots, cols)
+        on_diag = rows == cols[:, None, None]
+        diag = np.where(on_diag, vals, 0).sum(axis=(1, 2)) / n_slots
+        off = np.where(on_diag, 0, vals).reshape(cols.size, -1) / n_slots
+        residuals = np.linalg.norm(np.column_stack([off, diag.imag]), axis=1)
+        eigs[cols] = diag.real
+        worst = max(worst, float(np.max(residuals)))
+    return eigs, worst
 
 
 def dense_deviation(

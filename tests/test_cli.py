@@ -1,9 +1,11 @@
 import csv
 import io as _io
 import json
+import math
 import subprocess
 import sys
 import time
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -57,6 +59,23 @@ def test_converge_tight_tolerance_fails(runner):
         ["converge", "--amps", "0.6;0.8", "--k", "0", "--tolerance", "0"],
     )
     assert result.exit_code == 1
+
+
+def test_converge_reports_a_route_error_as_a_failed_check(runner, monkeypatch):
+    # the failure path must not depend on how the route happens to round
+    from freqop.cli import deviation_norm
+
+    def off_by_1e6(spec, s):
+        rep = deviation_norm(spec, s)
+        return replace(rep, deviation_exact=math.sqrt(rep.deviation_closed**2 + 1e-6))
+
+    monkeypatch.setattr("freqop.cli.deviation_norm", off_by_1e6)
+    result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "0"])
+    assert result.exit_code == 1
+    assert "FAIL at 1e-10" in result.stderr
+    errors = [float(r[4]) for r in _rows(result.stdout)[1:]]
+    assert len(errors) == 4
+    assert all(abs(e - 1e-6) <= 1e-12 for e in errors)
 
 
 def test_converge_rejects_missing_outcome(runner):

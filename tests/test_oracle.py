@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -6,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freqop import oracle
 from freqop.frequency import FrequencySpec, apply_frequency
-from freqop.hilbert import StateVector, random_state, random_unitary
+from freqop.hilbert import StateVector, UnitaryMatrix, random_state, random_unitary
 from freqop.oracle import (
     DENSE_CAP,
     DenseVector,
@@ -136,6 +138,32 @@ def test_matrix_columns_are_the_action_on_basis_vectors(d, n, rng):
             npt.assert_allclose(mu[:, j], rotated, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (2, 5), (4, 2), (3, 4)])
+def test_permutation_basis_columns_are_the_action_bit_for_bit(d, n, rng):
+    # a permuted measurement vector is exact, and its one live index is not
+    # always k: the action must skip the other indices without moving a bit
+    perm = rng.permutation(d)
+    while np.all(perm == np.arange(d)):
+        perm = rng.permutation(d)
+    basis = UnitaryMatrix(np.eye(d)[:, perm])
+    size = d**n
+    for k in range(d):
+        m = dense_frequency_matrix(k, n, d, basis=basis)
+        for j in range(size):
+            e = DenseVector(d, n, np.eye(size)[j])
+            assert m[:, j].tobytes() == dense_apply_frequency(k, e, basis).amps.tobytes()
+
+
+@pytest.mark.parametrize("d, n", [(2, 20), (4, 10), (3, 12)])
+def test_dense_deviation_at_the_cap_matches_the_closed_form(d, n, rng):
+    s = random_state(d, rng)
+    k = int(rng.integers(d))
+    p = abs(s.amps[k]) ** 2
+    closed_sq = (p - p * p) / n
+    dev = dense_deviation(s, k, n)
+    assert abs(dev**2 - closed_sq) <= 1e-12 * closed_sq
+
+
 @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
 def test_eigencheck_agrees_with_the_action(d, n):
     size = d**n
@@ -149,6 +177,27 @@ def test_eigencheck_agrees_with_the_action(d, n):
             col[j] -= col[j].real
             residuals.append(np.linalg.norm(col))
         assert worst == max(residuals)
+
+
+def test_eigencheck_does_not_depend_on_the_slice_size(monkeypatch):
+    whole = [eigencheck_standard_basis(k, n, d) for d, n in ((2, 5), (3, 4)) for k in range(d)]
+    monkeypatch.setattr(oracle, "EIGEN_COLUMNS", 7)
+    sliced = [eigencheck_standard_basis(k, n, d) for d, n in ((2, 5), (3, 4)) for k in range(d)]
+    for (eigs, worst), (eigs7, worst7) in zip(whole, sliced):
+        assert eigs7.tobytes() == eigs.tobytes()
+        assert worst7 == worst
+
+
+def test_eigencheck_memory_does_not_grow_with_the_operator():
+    # all 2**14 * 14 * 2 entries at once take about 34 MB; a slice of
+    # EIGEN_COLUMNS columns and the 128 KB of eigenvalues stay far below
+    tracemalloc.start()
+    try:
+        eigencheck_standard_basis(0, 14, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_matrix_cap():
