@@ -224,7 +224,8 @@ def spectrum(dim, slots, k, tolerance, fmt):
     Example: freqop spectrum -d 2 --slots 4 --k 0
 
     Every eigenvalue must sit on the grid {0, 1/N, ..., 1}; exits 1
-    otherwise. Sizes with d**N above the dense-matrix cap are rejected.
+    otherwise. Sizes with d**N above the dense-matrix cap, or N above 20,
+    are rejected.
     """
     with _usage_errors():
         eigs = dense_spectrum(k, slots, dim)

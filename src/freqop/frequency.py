@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import StateVector, UnitaryMatrix, _measurement_vector
-from .oracle import dense_deviation
 from .product import (
     TAIL_EPS,
     ProductState,
@@ -64,8 +63,7 @@ class FrequencyReport:
     """One verification run of the deviation identity.
 
     ``deviation_exact`` comes from scalar products of actual product states,
-    ``deviation_closed`` from the closed form ``sqrt((p - p^2)/N)``, and
-    ``oracle_deviation`` (when requested) from the dense brute-force path.
+    ``deviation_closed`` from the closed form ``sqrt((p - p^2)/N)``.
     ``applied_norm`` is the norm of the frequency operator applied to the
     ensemble state.
     """
@@ -75,7 +73,6 @@ class FrequencyReport:
     p: float
     deviation_exact: float
     deviation_closed: float
-    oracle_deviation: float | None
     applied_norm: float
     method: str
 
@@ -127,19 +124,15 @@ def _slot_deviation(kvec: np.ndarray, s: StateVector) -> tuple[float, float]:
 
 
 def deviation_norm(
-    spec: FrequencySpec,
-    s: StateVector,
-    *,
-    method: str = "auto",
-    oracle: bool = False,
+    spec: FrequencySpec, s: StateVector, *, method: str = "auto"
 ) -> FrequencyReport:
     """Measure ``|| (f - p) |s>^infinity ||`` for the ensemble of ``s``.
 
     Methods: ``"gram"`` builds the applied product state and takes scalar
     products term by term; ``"counted"`` evaluates the same Gram sum
     through pair multiplicities, exact for the one-term ensemble and O(1)
-    in N; ``"auto"`` picks gram up to ``GRAM_LIMIT`` slots. With
-    ``oracle=True`` the dense path recomputes the deviation (small N only).
+    in N; ``"auto"`` picks gram up to ``GRAM_LIMIT`` slots. The dense
+    oracle is a separate route: ``oracle.dense_deviation`` (small N only).
     """
     n = spec.n_slots
     kvec = _measurement_vector(spec.k, s.dim, spec.basis)
@@ -163,14 +156,12 @@ def deviation_norm(
         dev_sq = (v_sq + (n - 1) * sv_sq) / n
     else:
         raise ValueError(f"unknown method {method!r}")
-    oracle_dev = dense_deviation(s, spec.k, n, spec.basis) if oracle else None
     return FrequencyReport(
         n_slots=n,
         k=spec.k,
         p=p,
         deviation_exact=math.sqrt(max(dev_sq, 0.0)),
         deviation_closed=closed,
-        oracle_deviation=oracle_dev,
         applied_norm=math.sqrt(max(applied_sq, 0.0)),
         method=method,
     )

@@ -24,9 +24,12 @@ EIGEN_COLUMNS = 2**10  # columns per eigencheck slice, so its memory does not gr
 def _dense_size(d: int, n_slots: int) -> int:
     if d < 1 or n_slots < 1:
         raise ValueError("need d >= 1 and n_slots >= 1")
-    # For d >= 2 the size passes the cap within its bit length of slots, so
-    # the full power, a huge integer for a large n_slots, is never formed.
-    size = d ** min(n_slots, DENSE_CAP.bit_length())
+    # 2**20 is the cap, so no d >= 2 fits more slots; 1**N never passes it,
+    # so the slot count is bounded first and no huge power is ever formed
+    max_slots = DENSE_CAP.bit_length() - 1
+    if n_slots > max_slots:
+        raise ValueError(f"n_slots = {n_slots} exceeds the dense cap of {max_slots} slots")
+    size = d**n_slots
     if size > DENSE_CAP:
         raise ValueError(f"d**n_slots = {d}**{n_slots} exceeds the dense cap {DENSE_CAP}")
     return size
@@ -61,13 +64,6 @@ class DenseVector:
     @property
     def amps(self) -> np.ndarray:
         return self._amps
-
-    def as_tensor(self) -> np.ndarray:
-        """View shaped ``(d,) * n_slots``; index ``[i_1, ..., i_N]`` is slot-wise."""
-        return self._amps.reshape((self._d,) * self._n_slots)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self._amps))
 
     def __repr__(self) -> str:
         return f"DenseVector(d={self._d}, n_slots={self._n_slots})"

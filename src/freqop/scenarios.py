@@ -10,6 +10,7 @@ a measured system inside a sealed laboratory described from outside.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,6 +140,18 @@ class EprReport:
     passed: bool
 
 
+def _unit_weights(alpha: complex, beta: complex) -> tuple[complex, complex]:
+    """``alpha`` and ``beta`` as complex numbers, refused unless the weights sum to 1."""
+    alpha, beta = complex(alpha), complex(beta)
+    try:
+        total = abs(alpha) ** 2 + abs(beta) ** 2
+    except OverflowError:  # a huge but finite amplitude
+        total = math.inf
+    if abs(total - 1.0) > NORM_TOL:
+        raise ValueError(f"|alpha|^2 + |beta|^2 = {total:.12g} is not 1")
+    return alpha, beta
+
+
 def epr_pair(alpha: complex, beta: complex) -> BipartiteState:
     """``alpha |up down> + beta |down up>`` with index 0 = up, 1 = down."""
     m = np.zeros((2, 2), dtype=np.complex128)
@@ -160,11 +173,7 @@ def epr_check(
     nonzero (a definite preparation is rejected, the scenario would be
     empty) and ``|alpha|^2 + |beta|^2`` must be 1.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    total = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {total:.12g} is not 1")
+    alpha, beta = _unit_weights(alpha, beta)
     if abs(alpha) ** 2 <= NORM_TOL or abs(beta) ** 2 <= NORM_TOL:
         raise ValueError("both branches must carry weight; got a definite pair")
     state = epr_pair(alpha, beta)
@@ -241,11 +250,7 @@ def wigner_friend_check(
     object basis propositions. Each branch's weight is the corresponding
     amplitude squared.
     """
-    alpha = complex(alpha)
-    beta = complex(beta)
-    total = abs(alpha) ** 2 + abs(beta) ** 2
-    if abs(total - 1.0) > NORM_TOL:
-        raise ValueError(f"|alpha|^2 + |beta|^2 = {total:.12g} is not 1")
+    alpha, beta = _unit_weights(alpha, beta)
     m = np.zeros((2, 2), dtype=np.complex128)
     m[0, 0] = alpha
     m[1, 1] = beta

@@ -58,9 +58,7 @@ def succession_probabilities(
     return np.abs(col) ** 2
 
 
-def succession_frequency(
-    spec: SequentialSpec, *, oracle: bool = False
-) -> FrequencyReport:
+def succession_frequency(spec: SequentialSpec) -> FrequencyReport:
     """Deviation report for the frequency of record ``n`` among M successions.
 
     The report's ``p`` is the succession weight ``q = |<n|U|m>|^2`` and the
@@ -68,4 +66,4 @@ def succession_frequency(
     """
     s = propagator(spec).column(spec.m)  # the state one run ends in: U|m>
     fspec = FrequencySpec(k=spec.n, n_slots=spec.successions)
-    return deviation_norm(fspec, s, oracle=oracle)
+    return deviation_norm(fspec, s)

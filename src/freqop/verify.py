@@ -20,7 +20,7 @@ from .frequency import (
     deviation_norm,
 )
 from .hilbert import random_hermitian, random_state
-from .oracle import dense_frequency_matrix
+from .oracle import dense_deviation, dense_frequency_matrix
 from .sampling import sample_ensemble
 from .scenarios import epr_check, wigner_friend_check
 from .sequential import SequentialSpec, succession_frequency, succession_probabilities
@@ -66,15 +66,13 @@ def _suite_deviation(seed: int, tol: float) -> SuiteResult:
     for d in (2, 3, 4, 5, 2, 3, 4, 5):
         s = random_state(d, rng)
         k = int(rng.integers(d))
-        closed_sq = None
         for n in (1, 2, 8):
-            rep = deviation_norm(
-                FrequencySpec(k, n), s, method="gram", oracle=(d <= 4 and n == 8)
-            )
+            rep = deviation_norm(FrequencySpec(k, n), s, method="gram")
             closed_sq = rep.deviation_closed**2
             t.case(abs(rep.deviation_exact**2 - closed_sq), tol)
-            if rep.oracle_deviation is not None:
-                t.case(abs(rep.deviation_exact**2 - rep.oracle_deviation**2), tol)
+            if d <= 4 and n == 8:
+                oracle_sq = dense_deviation(s, k, n) ** 2
+                t.case(abs(rep.deviation_exact**2 - oracle_sq), tol)
         for n in (100, 10**4, 10**6):
             rep = deviation_norm(FrequencySpec(k, n), s, method="counted")
             t.case(abs(rep.deviation_exact**2 - rep.deviation_closed**2), tol)

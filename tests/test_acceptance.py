@@ -22,6 +22,7 @@ from freqop import (
     TruthValue,
     cauchy_gap_grid,
     cross_orthogonality,
+    dense_deviation,
     dense_frequency_matrix,
     dense_spectrum,
     deviation_norm,
@@ -66,14 +67,11 @@ def test_criterion_01_deviation_identity(identity_sample):
     worst_counted = 0.0
     for s, k in identity_sample:
         for n in range(1, 9):
-            rep = deviation_norm(
-                FrequencySpec(k, n), s, method="gram", oracle=True
-            )
+            rep = deviation_norm(FrequencySpec(k, n), s, method="gram")
             expected = (rep.p - rep.p**2) / n
             worst_closed = max(worst_closed, abs(rep.deviation_exact**2 - expected))
-            worst_oracle = max(
-                worst_oracle, abs(rep.deviation_exact**2 - rep.oracle_deviation**2)
-            )
+            oracle_sq = dense_deviation(s, k, n) ** 2
+            worst_oracle = max(worst_oracle, abs(rep.deviation_exact**2 - oracle_sq))
         for n in (10**2, 10**4, 10**6):
             rep = deviation_norm(FrequencySpec(k, n), s, method="counted")
             expected = (rep.p - rep.p**2) / n

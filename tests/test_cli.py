@@ -125,10 +125,12 @@ def test_spectrum_cap(runner):
 
 
 def test_spectrum_refuses_huge_slot_count_at_once(runner):
-    start = time.perf_counter()
-    result = runner.invoke(main, ["spectrum", "-d", "3", "--slots", "30000000", "--k", "0"])
-    assert result.exit_code == 2
-    assert time.perf_counter() - start < 2.0
+    # at d = 1 the dense size 1**N never passes the cap: the slot count is refused
+    for d in ("3", "1"):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["spectrum", "-d", d, "--slots", "30000000", "--k", "0"])
+        assert result.exit_code == 2
+        assert time.perf_counter() - start < 2.0
 
 
 def test_sequential_command(runner, tmp_path):

@@ -13,7 +13,7 @@ from freqop.frequency import (
     deviation_norm,
 )
 from freqop.hilbert import StateVector, random_state, random_unitary
-from freqop.oracle import dense_embed
+from freqop.oracle import dense_deviation, dense_embed
 from freqop.product import (
     ProductState,
     ProductTerm,
@@ -65,11 +65,11 @@ def test_applied_norm_fixed_value():
 
 def test_deviation_fixed_value():
     # sqrt((p - p^2)/N) at p = 0.3, N = 10: sqrt(0.021)
-    rep = deviation_norm(FrequencySpec(0, 10), S37, oracle=True)
+    rep = deviation_norm(FrequencySpec(0, 10), S37)
     expected = math.sqrt(0.021)
     npt.assert_allclose(rep.deviation_exact, expected, atol=1e-14)
     npt.assert_allclose(rep.deviation_closed, expected, atol=1e-15)
-    npt.assert_allclose(rep.oracle_deviation, expected, atol=1e-13)
+    npt.assert_allclose(dense_deviation(S37, 0, 10), expected, atol=1e-13)
 
 
 def test_deviation_identity_random_states(rng):
@@ -77,9 +77,9 @@ def test_deviation_identity_random_states(rng):
         s = random_state(d, rng)
         for n in (1, 2, 5, 8):
             k = int(rng.integers(d))
-            rep = deviation_norm(FrequencySpec(k, n), s, oracle=True)
+            rep = deviation_norm(FrequencySpec(k, n), s)
             assert abs(rep.deviation_exact**2 - rep.deviation_closed**2) <= 1e-12
-            assert abs(rep.deviation_exact**2 - rep.oracle_deviation**2) <= 1e-12
+            assert abs(rep.deviation_exact**2 - dense_deviation(s, k, n) ** 2) <= 1e-12
 
 
 def test_counted_route_matches_closed_form(rng):
@@ -155,11 +155,11 @@ def test_deviation_halves_when_ensemble_quadruples(rng):
 def test_rotated_basis_deviation(rng):
     u = random_unitary(3, rng)
     s = random_state(3, rng)
-    rep = deviation_norm(FrequencySpec(1, 6, basis=u), s, oracle=True)
+    rep = deviation_norm(FrequencySpec(1, 6, basis=u), s)
     p_manual = abs(np.vdot(u.entries[:, 1], s.amps)) ** 2
     npt.assert_allclose(rep.p, p_manual, atol=1e-14)
     assert abs(rep.deviation_exact**2 - rep.deviation_closed**2) <= 1e-12
-    assert abs(rep.deviation_exact**2 - rep.oracle_deviation**2) <= 1e-12
+    assert abs(rep.deviation_exact**2 - dense_deviation(s, 1, 6, u) ** 2) <= 1e-12
 
 
 def test_cauchy_gap_fixed_value():

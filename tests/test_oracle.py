@@ -1,5 +1,7 @@
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -37,8 +39,8 @@ def test_kron_power_slot_major_indexing():
     v = kron_power(StateVector.basis(2, 1), 3)
     # |1 1 1> sits at flat index 1*4 + 1*2 + 1 = 7; slot 1 varies slowest
     assert v.amps[7] == 1.0
-    assert v.as_tensor()[1, 1, 1] == 1.0
-    assert v.norm() == pytest.approx(1.0)
+    assert v.amps.reshape((2,) * 3)[1, 1, 1] == 1.0
+    assert np.linalg.norm(v.amps) == pytest.approx(1.0)
 
 
 def test_dense_embed_matches_kron_power():
@@ -293,3 +295,33 @@ def test_property_frequency_image_of_edited_terms_matches_dense(a0, a1, k, rotat
     image = apply_frequency(FrequencySpec(k, _WINDOW, basis), a)
     direct = dense_apply_frequency(k, dense_embed(a, _WINDOW), basis)
     npt.assert_allclose(dense_embed(image, _WINDOW).amps, direct.amps, atol=1e-12)
+
+
+def _freqop_imports(module):
+    """The names of the freqop modules that ``module`` imports."""
+    tree = ast.parse(Path(oracle.__file__).with_name(f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level == 0:
+                package, _, base = base.partition(".")
+                if package != "freqop":
+                    continue
+            # "from .oracle import x" names the module, "from . import oracle" its names
+            found.update([base] if base else [alias.name for alias in node.names])
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.partition(".")[2]
+                for alias in node.names
+                if alias.name.startswith("freqop.")
+            )
+    return found
+
+
+def test_routes_are_independent_by_import():
+    # the dense oracle is a route of its own: the structured routes never
+    # call it, and it never calls them
+    for module in ("frequency", "product", "sequential"):
+        assert "oracle" not in _freqop_imports(module), module
+    assert not _freqop_imports("oracle") & {"frequency", "sequential"}

@@ -107,8 +107,10 @@ def test_epr_check_rejects_definite_pair():
 
 
 def test_epr_check_rejects_unnormalized():
-    with pytest.raises(ValueError, match="not 1"):
-        epr_check(1.0, 1.0)
+    # 1e200 squared overflows a float: still a refusal, not an OverflowError
+    for alpha in (1.0, 1e200):
+        with pytest.raises(ValueError, match="not 1"):
+            epr_check(alpha, 1.0)
 
 
 def test_wigner_check_symmetric():
@@ -153,5 +155,6 @@ def test_wigner_degenerate_pair_has_single_definite_branch():
 
 
 def test_wigner_rejects_unnormalized():
-    with pytest.raises(ValueError, match="not 1"):
-        wigner_friend_check(0.9, 0.9)
+    for alpha in (0.9, 1e200):
+        with pytest.raises(ValueError, match="not 1"):
+            wigner_friend_check(alpha, 0.9)
