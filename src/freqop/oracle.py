@@ -41,13 +41,22 @@ class DenseVector:
     __slots__ = ("_d", "_n_slots", "_amps")
 
     def __init__(self, d: int, n_slots: int, amps):
+        _dense_size(d, n_slots)  # refuse an oversized vector before copying it
+        self._adopt_checked(d, n_slots, np.array(amps, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, d: int, n_slots: int, a: np.ndarray) -> DenseVector:
+        """A vector over ``a``, a fresh complex array the oracle just built, without a copy."""
+        v = cls.__new__(cls)
+        v._adopt_checked(d, n_slots, a)
+        return v
+
+    def _adopt_checked(self, d: int, n_slots: int, a: np.ndarray) -> None:
         size = _dense_size(d, n_slots)
-        a = np.asarray(amps, dtype=np.complex128)
         if a.shape != (size,):
             raise ValueError(f"expected {size} amplitudes, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("amplitudes contain non-finite entries")
-        a = a.copy()
         a.setflags(write=False)
         self._d = d
         self._n_slots = n_slots
@@ -81,7 +90,7 @@ def kron_power(s: StateVector, n_slots: int) -> DenseVector:
     v = s.amps
     for _ in range(n_slots - 1):
         v = np.kron(v, s.amps)
-    return DenseVector(s.dim, n_slots, v)
+    return DenseVector._adopt(s.dim, n_slots, v)
 
 
 def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
@@ -102,7 +111,13 @@ def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
         for alpha in range(2, n_slots + 1):
             v = np.kron(v, t.slot(alpha))
         out += t.coeff * v
-    return DenseVector(state.dim, n_slots, out)
+    return DenseVector._adopt(state.dim, n_slots, out)
+
+
+def _divide(a: np.ndarray, n: int) -> None:
+    """``a /= n`` part by part: j/N rounds once, as fl(j/N), not as j * fl(1/N)."""
+    parts = a.view(np.float64)
+    parts /= n
 
 
 def _frequency_entries(
@@ -153,8 +168,9 @@ def dense_apply_frequency(
         for i in (first, *rest):
             np.multiply(a, kvec[i], out=w)
             ov[:, i, :] += w
-    out /= n
-    return DenseVector(d, n, out)
+    del amp, term, a, w  # free the slot buffers before the output's check
+    _divide(out, n)
+    return DenseVector._adopt(d, n, out)
 
 
 def dense_frequency_matrix(
@@ -169,15 +185,24 @@ def dense_frequency_matrix(
     rows, vals = _frequency_entries(kvec, n_slots, cols)
     m = np.zeros((size, size), dtype=np.complex128)
     np.add.at(m, (rows, cols[:, None, None]), vals)
-    m /= n_slots
+    _divide(m, n_slots)
     return m
 
 
 def dense_spectrum(
     k: int, n_slots: int, d: int, basis: UnitaryMatrix | None = None
 ) -> np.ndarray:
-    """Ascending eigenvalues of the dense frequency operator."""
+    """Ascending eigenvalues of the dense frequency operator.
+
+    A matrix without an off-diagonal entry (the standard basis, or one that
+    permutes it) is its own eigendecomposition: its sorted real diagonal is
+    returned, which are the bits ``eigvalsh`` gives for it. Any other matrix
+    goes through ``eigvalsh``.
+    """
     m = dense_frequency_matrix(k, n_slots, d, basis)
+    diag = m.diagonal()
+    if np.count_nonzero(m) == np.count_nonzero(diag):
+        return np.sort(diag.real)
     return np.linalg.eigvalsh(m)
 
 
@@ -197,8 +222,10 @@ def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray,
         cols = np.arange(start, min(start + EIGEN_COLUMNS, size))
         rows, vals = _frequency_entries(kvec, n_slots, cols)
         on_diag = rows == cols[:, None, None]
-        diag = np.where(on_diag, vals, 0).sum(axis=(1, 2)) / n_slots
-        off = np.where(on_diag, 0, vals).reshape(cols.size, -1) / n_slots
+        diag = np.where(on_diag, vals, 0).sum(axis=(1, 2))
+        _divide(diag, n_slots)
+        off = np.where(on_diag, 0, vals).reshape(cols.size, -1)
+        _divide(off, n_slots)
         residuals = np.linalg.norm(np.column_stack([off, diag.imag]), axis=1)
         eigs[cols] = diag.real
         worst = max(worst, float(np.max(residuals)))
@@ -215,6 +242,8 @@ def dense_deviation(
     w = dense_apply_frequency(k, v, basis)
     # squared in place and summed pairwise: no BLAS reduction, whose bits
     # would depend on the thread count, and no further 16 MB temporary
-    sq = (w.amps - p * v.amps).view(np.float64)
+    diff = p * v.amps
+    np.subtract(w.amps, diff, out=diff)
+    sq = diff.view(np.float64)
     np.multiply(sq, sq, out=sq)
     return math.sqrt(sq.sum())

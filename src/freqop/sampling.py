@@ -5,6 +5,14 @@ is reproducible bit for bit from (seed, n_samples, state) alone, on any
 platform. Outcomes come from one uniform stream through the inverse CDF,
 drawn in blocks of ``DRAW_BLOCK``; the Philox stream does not depend on how
 the draws are split, so neither does the record.
+
+The inverse CDF is read through buckets (H.-C. Chen and Y. Asau, AIIE Trans.
+6, 163, 1974): a draw ``u`` lands in bucket ``floor(u G)`` of ``G`` equal
+buckets, and a bucket with no CDF edge inside it belongs to one outcome
+whole, so only draws in the few buckets that an edge splits are compared
+with the edges. ``G`` is a power of two and every uniform a multiple of
+2**-53, so ``u G`` and the scaled edges are exact and every comparison is
+the one a search of the unscaled edges would make.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from .hilbert import StateVector, UnitaryMatrix
 
 DRAW_BLOCK = 2**20  # draws per block, so memory stays bounded for any n_samples
 MAX_DRAWS = 10**9  # about 33 s of drawing, so time stays bounded too
+MAX_BUCKETS = 2**16  # most buckets of the inverse CDF, so its tables stay small
 
 
 @dataclass(frozen=True)
@@ -67,13 +76,30 @@ def sample_ensemble(
     p = outcome_probabilities(s, basis)
     d = p.size
     rng = np.random.Generator(np.random.Philox(key=seed))
-    edges = np.cumsum(p)
+    # a draw u is outcome #{i < d - 1 : edge_i <= u}: the last edge only caps
+    # the index at d - 1, so it is dropped. Below the cap there are at least
+    # 2**8 buckets per outcome, so few draws land in a split bucket.
+    buckets = min(MAX_BUCKETS, 2 ** ((d - 1).bit_length() + 8))
+    edges = np.cumsum(p)[:-1] * buckets
+    first = np.floor(edges)
+    split = np.zeros(buckets, dtype=bool)
+    split[first[(edges != first) & (edges < buckets)].astype(np.intp)] = True
+    per_bucket = np.zeros(buckets, dtype=np.int64)
     counts = np.zeros(d, dtype=np.int64)
+    u = np.empty(min(DRAW_BLOCK, n_samples))
+    idx = np.empty(u.size, dtype=np.intp)
     for start in range(0, n_samples, DRAW_BLOCK):
-        u = rng.random(min(DRAW_BLOCK, n_samples - start))
-        idx = np.searchsorted(edges, u, side="right")
-        np.minimum(idx, d - 1, out=idx)
-        counts += np.bincount(idx, minlength=d)
+        m = min(DRAW_BLOCK, n_samples - start)
+        v, b = u[:m], idx[:m]
+        rng.random(out=v)
+        v *= buckets
+        b[...] = v  # truncation: the bucket of each draw
+        per_bucket += np.bincount(b, minlength=buckets)
+        near = np.searchsorted(edges, v[split[b]], side="right")
+        counts += np.bincount(near, minlength=d)
+    # a bucket no edge splits gives all its draws to the outcome of its lower end
+    per_bucket[split] = 0
+    np.add.at(counts, np.searchsorted(edges, np.arange(buckets), side="right"), per_bucket)
     freq = counts / n_samples
     z = np.zeros(d)
     spread = p * (1.0 - p)

@@ -119,6 +119,15 @@ def test_spectrum_grid(runner):
     assert all(float(r[3]) <= 1e-9 for r in rows)
 
 
+def test_spectrum_sits_on_the_grid_exactly(runner):
+    # j/N rounded once is the nearest grid point of itself
+    for d, n, k in (("2", "10", "1"), ("2", "7", "0"), ("3", "5", "2")):
+        args = ["spectrum", "-d", d, "--slots", n, "--k", k, "--tolerance", "0"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, args
+        assert all(float(r[3]) == 0.0 for r in _rows(result.stdout)[1:])
+
+
 def test_spectrum_cap(runner):
     result = runner.invoke(main, ["spectrum", "-d", "2", "--slots", "11", "--k", "0"])
     assert result.exit_code == 2

@@ -55,6 +55,8 @@ CASES = {
                            "--tolerance", "0"], 1),
     "spectrum.csv": (["spectrum", "-d", "2", "--slots", "3", "--k", "1"], 0),
     "spectrum.json": (["spectrum", "-d", "2", "--slots", "2", "--k", "0", "--format", "json"], 0),
+    # 5/7 is an ulp off the grid unless j/N is rounded once
+    "spectrum_7.csv": (["spectrum", "-d", "2", "--slots", "7", "--k", "0"], 0),
     "sequential.csv": (["sequential", "--hamiltonian", "{hamiltonian}", "--dt", "0.5",
                         "--m", "0", "--n", "1", "--successions", "32"], 0),
     "sequential.json": (["sequential", "--hamiltonian", "{hamiltonian}", "--dt", "0.5",
@@ -66,6 +68,9 @@ CASES = {
     "sample.csv": (["sample", "--amps", "0.6;0.8", "--n", "64", "--seed", "7"], 0),
     "sample.json": (["sample", "--state", "{state}", "--basis", "{basis}", "--n", "64",
                      "--seed", "11", "--format", "json"], 0),
+    # three draw blocks; the CDF edges 1/4, 1/2 and 3/4 lie on bucket boundaries
+    "sample_d5.csv": (["sample", "--amps", "0.5;0,0.5;0.5;0.3;0.4", "--n", "3000001",
+                       "--seed", "2024"], 0),
     "verify-all.json": (["verify-all", "--seed", "7", "--tolerance", "1e-09"], 0),
     "usage_error.out": (["converge", "--amps", "zero;one", "--k", "0"], 2),
 }

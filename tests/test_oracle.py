@@ -202,6 +202,63 @@ def test_eigencheck_memory_does_not_grow_with_the_operator():
     assert peak < 8 * 2**20
 
 
+@pytest.mark.parametrize("d, n", [(2, 10), (2, 7), (3, 5), (2, 3)])
+def test_operator_entries_are_fractions_rounded_once(d, n):
+    # the diagonal holds j/N rounded once; j * fl(1/N) is an ulp off at
+    # 3/10, 5/7 or 3/5 and puts the spectrum off its own grid
+    digits = np.arange(d**n)[:, None] // d ** np.arange(n) % d
+    for k in range(d):
+        expected = np.count_nonzero(digits == k, axis=1) / n
+        m = dense_frequency_matrix(k, n, d)
+        assert m.diagonal().real.tobytes() == expected.tobytes()
+        assert eigencheck_standard_basis(k, n, d)[0].tobytes() == expected.tobytes()
+        assert dense_spectrum(k, n, d).tobytes() == np.sort(expected).tobytes()
+        e = DenseVector(d, n, np.eye(d**n)[-1])
+        assert dense_apply_frequency(k, e).amps[-1] == expected[-1]
+
+
+# every standard-basis (d, N, k) up to side 64, and three of the largest sides
+_DIAGONAL_CASES = [
+    (d, n, k) for d in range(1, 65) for n in range(1, 21) if d**n <= 64 for k in range(d)
+] + [(2, 10, 1), (3, 6, 2), (32, 2, 31)]
+
+
+def test_dense_spectrum_is_eigvalsh_bit_for_bit(rng, monkeypatch):
+    # a diagonal matrix (standard or permutation basis) is not solved; a
+    # Haar basis gives off-diagonal entries, so its matrix is
+    cases = [(d, n, k, None, False) for d, n, k in _DIAGONAL_CASES]
+    for d, n in ((2, 5), (3, 4), (5, 3)):
+        shift = UnitaryMatrix(np.roll(np.eye(d), 1, axis=1))
+        cases += [(d, n, k, shift, False) for k in range(d)]
+    cases.append((2, 5, 1, random_unitary(2, rng), True))
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m) or eigvalsh(m))
+    for d, n, k, basis, solves in cases:
+        want = eigvalsh(dense_frequency_matrix(k, n, d, basis))
+        calls.clear()
+        assert dense_spectrum(k, n, d, basis).tobytes() == want.tobytes(), (d, n, k)
+        assert bool(calls) == solves, (d, n, k)
+
+
+def _traced_peak(f):
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dense_results_are_not_copied():
+    # at 2**20 amplitudes a result is 16 MiB: the apply adds its two 8 MiB
+    # slot buffers, the Kronecker power the 8 MiB vector one slot short
+    s = StateVector([0.6, 0.8])
+    v = kron_power(s, 20)
+    assert _traced_peak(lambda: dense_apply_frequency(0, v)) <= 33 * 2**20
+    assert _traced_peak(lambda: kron_power(s, 20)) <= 25 * 2**20
+
+
 def test_matrix_cap():
     with pytest.raises(ValueError, match="cap"):
         dense_frequency_matrix(0, 11, 2)

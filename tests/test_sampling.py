@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -30,18 +31,79 @@ def test_outcome_probabilities_rotated_basis(rng):
     npt.assert_allclose(p.sum(), 1.0, atol=1e-12)
 
 
-def test_record_matches_documented_algorithm():
+def _random_preparation(d, key):
+    return random_state(d, np.random.Generator(np.random.Philox(key=key))), None
+
+
+def _zero_weights():
+    # zero weights give repeated CDF edges, also at both ends
+    return StateVector([0.0, 0.6, 0.0, 0.0, 0.8, 0.0]), None
+
+
+def _weight_sum(above):
+    # a seeded basis whose weights add up to a float just above (below) 1
+    rng = np.random.Generator(np.random.Philox(key=17))
+    while True:
+        s, u = random_state(3, rng), random_unitary(3, rng)
+        total = np.cumsum(outcome_probabilities(s, u))[-1]
+        if total != 1.0 and (total > 1.0) == above:
+            return s, u
+
+
+# id: (preparation, n, seed, DRAW_BLOCK or None for the default)
+RECORD_CASES = {
+    "s68": (lambda: (S68, None), 1000, 123, None),
+    "d1": (lambda: (StateVector([1j]), None), 500, 1, None),
+    "d2": (lambda: _random_preparation(2, 2), 3000, 2, None),
+    "d3": (lambda: _random_preparation(3, 3), 3000, 3, None),
+    "d4": (lambda: _random_preparation(4, 4), 3000, 4, None),
+    "d17": (lambda: _random_preparation(17, 17), 20000, 17, None),
+    "d1000": (lambda: _random_preparation(1000, 1000), 200000, 1000, None),
+    "d5000": (lambda: _random_preparation(5000, 5000), 200000, 5000, None),
+    "zero-weights": (_zero_weights, 5000, 6, None),
+    # no amplitude has weight exactly 1/2: this edge lies an ulp above it
+    "uniform-half": (lambda: (StateVector([0.5**0.5, 0.5**0.5]), None), 5000, 8, None),
+    # edges at 1/4 and 1/2, and at 1/4, 1/2, 3/4, lie exactly on bucket boundaries
+    "quarters-half": (lambda: (StateVector([0.5, 0.5j, 0.5**0.5]), None), 5000, 14, None),
+    "uniform-quarter": (lambda: (StateVector([0.5, 0.5, 0.5j, -0.5]), None), 5000, 9, None),
+    "sum-above-1": (lambda: _weight_sum(True), 5000, 10, None),
+    "sum-below-1": (lambda: _weight_sum(False), 5000, 11, None),
+    "block7": (lambda: _random_preparation(5, 12), 1000, 12, 7),
+    "blocks": (lambda: _random_preparation(5, 13), 2 * sampling.DRAW_BLOCK + 5, 13, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RECORD_CASES))
+def test_record_matches_documented_algorithm(case, monkeypatch):
     # re-derive the counts from the documented recipe: Philox keyed by the
     # seed, one uniform stream, inverse CDF through cumsum + searchsorted
-    seed, n = 123, 1000
-    record = sample_ensemble(S68, n, seed)
+    make, n, seed, block = RECORD_CASES[case]
+    s, basis = make()
+    if block is not None:
+        monkeypatch.setattr(sampling, "DRAW_BLOCK", block)
+    record = sample_ensemble(s, n, seed, basis)
+    p = outcome_probabilities(s, basis)
     rng = np.random.Generator(np.random.Philox(key=seed))
     u = rng.random(n)
-    edges = np.cumsum([0.36, 0.64])
-    idx = np.minimum(np.searchsorted(edges, u, side="right"), 1)
-    counts = np.bincount(idx, minlength=2)
+    idx = np.minimum(np.searchsorted(np.cumsum(p), u, side="right"), p.size - 1)
+    counts = np.bincount(idx, minlength=p.size)
     assert record.counts == tuple(int(c) for c in counts)
     assert record.empirical_freq == tuple(c / n for c in counts)
+    assert record.probabilities == tuple(float(x) for x in p)
+
+
+def test_sampling_memory_stays_below_the_draw_block():
+    # a block of 2**20 draws takes 8 MiB of uniforms and 8 MiB of indices,
+    # reused from block to block; the bucket tables and counts stay small
+    s = random_state(1000, np.random.Generator(np.random.Philox(key=3)))
+    tracemalloc.start()
+    try:
+        sample_ensemble(s, 3 * sampling.DRAW_BLOCK + 1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sampling.DRAW_BLOCK == 2**20
+    assert peak < 20 * 2**20
 
 
 def test_replay_is_bit_exact():
