@@ -21,6 +21,7 @@ import sys
 import traceback
 
 import click
+import numpy as np
 
 from . import io
 from .frequency import VERIFY_TOL, FrequencySpec, deviation_norm
@@ -199,7 +200,7 @@ def converge(s, basis, k, ns, tolerance, fmt):
          float(rep.applied_norm**2)]
         for rep in reports
     ]
-    worst = max(0.0, *(row[4] for row in rows))
+    worst = float(np.max([row[4] for row in rows], initial=0.0))  # NaN propagates
     header = ["N", "p", "deviation_exact", "deviation_closed", "abs_error",
               "norm_fN_sq"]
     _table(fmt, "converge", header, rows, k=k, tolerance=tolerance)

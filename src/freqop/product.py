@@ -139,10 +139,6 @@ class ProductState:
     def dim(self) -> int:
         return self._dim
 
-    @property
-    def max_prefix_len(self) -> int:
-        return max((t.prefix_len for t in self._terms), default=0)
-
     def __repr__(self) -> str:
         return f"ProductState(dim={self._dim}, terms={len(self._terms)})"
 

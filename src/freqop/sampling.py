@@ -54,7 +54,8 @@ def outcome_probabilities(
         return np.abs(s.amps) ** 2
     if basis.dim != s.dim:
         raise ValueError(f"basis dim {basis.dim} does not match state dim {s.dim}")
-    return np.abs(basis.entries.conj().T @ s.amps) ** 2
+    # an axis-0 sum in place of a BLAS product, so no bit depends on the threads
+    return np.abs((basis.entries.conj() * s.amps[:, None]).sum(axis=0)) ** 2
 
 
 def sample_ensemble(

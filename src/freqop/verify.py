@@ -1,13 +1,14 @@
 """Invariant suites bundled for one-shot verification runs.
 
 Each suite re-derives a family of identities with fresh random inputs and
-counts violations against its tolerance. `run_all` is deterministic for a
-fixed seed; the CLI's ``verify-all`` command is a thin formatter over it.
+yields one error per case; `run_all` judges them and is deterministic for a
+fixed seed. The CLI's ``verify-all`` command is a thin formatter over it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,48 +40,35 @@ class SuiteResult:
     max_error: float
 
 
-class _Tally:
-    def __init__(self, name: str):
-        self.name = name
-        self.cases = 0
-        self.failures = 0
-        self.max_error = 0.0
-
-    def case(self, error: float, tol: float) -> None:
-        self.cases += 1
-        self.max_error = max(self.max_error, error)
-        if error > tol:
-            self.failures += 1
-
-    def result(self) -> SuiteResult:
-        return SuiteResult(self.name, self.cases, self.failures, self.max_error)
+def _result(name: str, errors: Iterator[float], tol: float) -> SuiteResult:
+    """Judge one suite: a case fails unless its error is at most ``tol``."""
+    e = np.fromiter(errors, dtype=float)
+    # a NaN error fails its case and, as np.max propagates it, is the worst
+    failures = int(np.count_nonzero(~(e <= tol)))
+    return SuiteResult(name, e.size, failures, float(np.max(e, initial=0.0)))
 
 
 def _rng(seed: int, lane: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, lane]))
 
 
-def _suite_deviation(seed: int, tol: float) -> SuiteResult:
-    t = _Tally("deviation-identity")
+def _suite_deviation(seed: int) -> Iterator[float]:
     rng = _rng(seed, 1)
     for d in (2, 3, 4, 5, 2, 3, 4, 5):
         s = random_state(d, rng)
         k = int(rng.integers(d))
         for n in (1, 2, 8):
             rep = deviation_norm(FrequencySpec(k, n), s, method="gram")
-            closed_sq = rep.deviation_closed**2
-            t.case(abs(rep.deviation_exact**2 - closed_sq), tol)
+            yield abs(rep.deviation_exact**2 - rep.deviation_closed**2)
             if d <= 4 and n == 8:
                 oracle_sq = dense_deviation(s, k, n) ** 2
-                t.case(abs(rep.deviation_exact**2 - oracle_sq), tol)
+                yield abs(rep.deviation_exact**2 - oracle_sq)
         for n in (100, 10**4, 10**6):
             rep = deviation_norm(FrequencySpec(k, n), s, method="counted")
-            t.case(abs(rep.deviation_exact**2 - rep.deviation_closed**2), tol)
-    return t.result()
+            yield abs(rep.deviation_exact**2 - rep.deviation_closed**2)
 
 
-def _suite_norm(seed: int, tol: float) -> SuiteResult:
-    t = _Tally("norm-identity")
+def _suite_norm(seed: int) -> Iterator[float]:
     rng = _rng(seed, 2)
     for d in (2, 3, 4, 5):
         s = random_state(d, rng)
@@ -90,12 +78,10 @@ def _suite_norm(seed: int, tol: float) -> SuiteResult:
             expected = (rep.p + (n - 1) * rep.p**2) / n
             err = abs(rep.applied_norm**2 - expected)
             overflow = max(rep.applied_norm**2 - 1.0, 0.0)
-            t.case(max(err, overflow), tol)
-    return t.result()
+            yield max(err, overflow)
 
 
-def _suite_cauchy(seed: int, tol: float) -> SuiteResult:
-    t = _Tally("cauchy-gap")
+def _suite_cauchy(seed: int) -> Iterator[float]:
     rng = _rng(seed, 3)
     n_max = 32
     for d in (2, 3, 5):
@@ -108,12 +94,10 @@ def _suite_cauchy(seed: int, tol: float) -> SuiteResult:
                 gap = grid[m - 1, n - 1]
                 closed = (1.0 / m - 1.0 / n) * (p - p * p)
                 bound_excess = max(gap - (1.0 / m - 1.0 / n), 0.0)
-                t.case(max(abs(gap - closed), bound_excess), tol)
-    return t.result()
+                yield max(abs(gap - closed), bound_excess)
 
 
-def _suite_orthogonality(seed: int) -> SuiteResult:
-    t = _Tally("orthogonality")
+def _suite_orthogonality(seed: int) -> Iterator[float]:
     rng = _rng(seed, 4)
     done = 0
     while done < 15:
@@ -127,26 +111,22 @@ def _suite_orthogonality(seed: int) -> SuiteResult:
         m = int(rng.integers(1, n + 1))
         value = cross_orthogonality(k, n, m, s, s2)
         # The tail rule must produce an exact zero, not merely a small one.
-        t.case(abs(value), 0.0)
+        yield abs(value)
         done += 1
-    return t.result()
 
 
-def _suite_spectrum(seed: int, tol: float) -> SuiteResult:
-    t = _Tally("spectrum")
+def _suite_spectrum() -> Iterator[float]:
     for d, n in ((2, 2), (2, 4), (2, 6), (3, 2), (3, 4)):
         mats = [dense_frequency_matrix(k, n, d) for k in range(d)]
         eigs = np.linalg.eigvalsh(mats[0])
-        t.case(float(np.max(np.abs(eigs * n - np.round(eigs * n)))) / n, tol)
+        yield float(np.max(np.abs(eigs * n - np.round(eigs * n)))) / n
         total = sum(mats)
-        t.case(float(np.max(np.abs(total - np.eye(d**n)))), tol)
+        yield float(np.max(np.abs(total - np.eye(d**n))))
         comm = mats[0] @ mats[1] - mats[1] @ mats[0]
-        t.case(float(np.max(np.abs(comm))), tol)
-    return t.result()
+        yield float(np.max(np.abs(comm)))
 
 
-def _suite_sequential(seed: int, tol: float) -> SuiteResult:
-    t = _Tally("sequential")
+def _suite_sequential(seed: int) -> Iterator[float]:
     rng = _rng(seed, 5)
     for d in (2, 3, 4):
         h = random_hermitian(d, rng)
@@ -154,14 +134,13 @@ def _suite_sequential(seed: int, tol: float) -> SuiteResult:
         n = int(rng.integers(d))
         for dt in (0.0, 0.1, math.pi / 4):
             q = succession_probabilities(h, dt, m)
-            t.case(abs(float(q.sum()) - 1.0), tol)
+            yield abs(float(q.sum()) - 1.0)
             for reps in (1, 7, 1000):
                 rep = succession_frequency(
                     SequentialSpec(h, dt, m, n, successions=reps)
                 )
                 ident = (rep.p - rep.p**2) / reps
-                t.case(abs(rep.deviation_exact**2 - ident), tol)
-    return t.result()
+                yield abs(rep.deviation_exact**2 - ident)
 
 
 def _random_pair(rng: np.random.Generator) -> tuple[complex, complex]:
@@ -172,37 +151,31 @@ def _random_pair(rng: np.random.Generator) -> tuple[complex, complex]:
             return complex(v[0]), complex(v[1])
 
 
-def _suite_epr(seed: int, tol: float) -> SuiteResult:
-    t = _Tally("epr")
+def _suite_epr(seed: int, tol: float) -> Iterator[float]:
     rng = _rng(seed, 6)
     pairs = [(1 / math.sqrt(2), 1 / math.sqrt(2))]
     pairs += [_random_pair(rng) for _ in range(5)]
     for alpha, beta in pairs:
         rep = epr_check(alpha, beta, product_tol=tol)
-        t.case(rep.product_residual if rep.passed else math.inf, tol)
-    return t.result()
+        yield rep.product_residual if rep.passed else math.inf
 
 
-def _suite_wigner(seed: int, tol: float) -> SuiteResult:
-    t = _Tally("wigner")
+def _suite_wigner(seed: int, tol: float) -> Iterator[float]:
     rng = _rng(seed, 7)
     pairs = [(1 / math.sqrt(2), 1 / math.sqrt(2)), (1.0, 0.0)]
     pairs += [_random_pair(rng) for _ in range(5)]
     for alpha, beta in pairs:
         rep = wigner_friend_check(alpha, beta, product_tol=tol)
         worst = max((b.product_residual for b in rep.branches), default=0.0)
-        t.case(worst if rep.passed else math.inf, tol)
-    return t.result()
+        yield worst if rep.passed else math.inf
 
 
-def _suite_sampling(seed: int) -> SuiteResult:
-    t = _Tally("sampling")
+def _suite_sampling(seed: int) -> Iterator[float]:
     rng = _rng(seed, 8)
     s = random_state(4, rng)
     record = sample_ensemble(s, n_samples=10**5, seed=seed)
     for z in record.z_scores:
-        t.case(abs(z), SAMPLING_Z_LIMIT)
-    return t.result()
+        yield abs(z)
 
 
 def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[SuiteResult]:
@@ -216,14 +189,15 @@ def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[Su
     tol = VERIFY_TOL if tolerance is None else tolerance
     spec_tol = SPECTRUM_TOL if tolerance is None else tolerance
     residual_tol = 1e-12 if tolerance is None else tolerance
-    return [
-        _suite_deviation(seed, tol),
-        _suite_norm(seed, tol),
-        _suite_cauchy(seed, tol),
-        _suite_orthogonality(seed),
-        _suite_spectrum(seed, spec_tol),
-        _suite_sequential(seed, tol),
-        _suite_epr(seed, residual_tol),
-        _suite_wigner(seed, residual_tol),
-        _suite_sampling(seed),
+    suites = [
+        ("deviation-identity", _suite_deviation(seed), tol),
+        ("norm-identity", _suite_norm(seed), tol),
+        ("cauchy-gap", _suite_cauchy(seed), tol),
+        ("orthogonality", _suite_orthogonality(seed), 0.0),
+        ("spectrum", _suite_spectrum(), spec_tol),
+        ("sequential", _suite_sequential(seed), tol),
+        ("epr", _suite_epr(seed, residual_tol), residual_tol),
+        ("wigner", _suite_wigner(seed, residual_tol), residual_tol),
+        ("sampling", _suite_sampling(seed), SAMPLING_Z_LIMIT),
     ]
+    return [_result(name, errors, t) for name, errors, t in suites]

@@ -78,6 +78,25 @@ def test_converge_reports_a_route_error_as_a_failed_check(runner, monkeypatch):
     assert all(abs(e - 1e-6) <= 1e-12 for e in errors)
 
 
+def test_a_nan_route_error_fails_verify_all_and_converge(runner, monkeypatch):
+    # nan > tol is False and max(0.0, nan) is 0.0, so a NaN must be judged
+    # as a failure on purpose, not left to vanish from the count
+    from freqop.cli import deviation_norm
+
+    def nan_route(spec, s, **kwargs):
+        return replace(deviation_norm(spec, s, **kwargs), deviation_exact=math.nan)
+
+    monkeypatch.setattr("freqop.verify.deviation_norm", nan_route)
+    result = runner.invoke(main, ["verify-all"])
+    assert result.exit_code == 1
+    suites = {r["suite"]: r for r in json.loads(result.stdout)["suites"]}
+    assert suites["deviation-identity"]["failures"] > 0
+    monkeypatch.setattr("freqop.cli.deviation_norm", nan_route)
+    result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "0"])
+    assert result.exit_code == 1
+    assert "FAIL" in result.stderr
+
+
 def test_converge_rejects_missing_outcome(runner):
     result = runner.invoke(main, ["converge", "--amps", HALF_AMPS])
     assert result.exit_code == 2

@@ -13,10 +13,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from freqop import io
 from freqop.cli import main
+from freqop.hilbert import random_state, random_unitary
 from freqop.verify import SuiteResult
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,12 +98,20 @@ def test_golden_stdout(name, tmp_path, monkeypatch):
     assert stdout == (GOLDEN / name).read_bytes()
 
 
-def test_stdout_does_not_depend_on_the_blas_thread_count():
+def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
+    # from about d = 64 on a BLAS product of the basis and the state would
+    # split its sums by thread, so sample --basis runs at d = 300
+    rng = np.random.Generator(np.random.Philox(key=300))
+    state, basis = tmp_path / "state300.json", tmp_path / "basis300.json"
+    state.write_text(json.dumps(io.state_to_dict(random_state(300, rng))))
+    basis.write_text(json.dumps(io.matrix_to_dict(random_unitary(300, rng).entries)))
     cases = [
         (CASES["converge_tail.csv"][0], "converge_tail.csv"),
         (CASES["converge_512.csv"][0], "converge_512.csv"),
         # the real suites, whose worst errors include the dense oracle's norm
         (["verify-all", "--seed", "42"], None),
+        (["sample", "--state", str(state), "--basis", str(basis), "--n", "1000",
+          "--seed", "3"], None),
     ]
     for args, golden in cases:
         runs = [
