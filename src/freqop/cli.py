@@ -39,15 +39,28 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _finite_or_null(x):
+    """``x`` with every non-finite float replaced by ``None``: JSON has no NaN."""
+    if isinstance(x, float):
+        return x if math.isfinite(x) else None
+    if isinstance(x, dict):
+        return {k: _finite_or_null(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_null(v) for v in x]
+    return x
+
+
 def _emit(fmt: str, header: list[str], rows: list[list], payload: dict) -> None:
-    """Write ``rows`` under ``header`` as CSV, or ``payload`` as versioned JSON."""
+    """Write ``rows`` under ``header`` as CSV, or ``payload`` as versioned JSON,
+    where a non-finite number reads ``null``."""
     if fmt == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(header)
         for row in rows:
             w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
     else:
-        click.echo(json.dumps({"schema_version": SCHEMA_VERSION, **payload}, indent=2))
+        doc = _finite_or_null({"schema_version": SCHEMA_VERSION, **payload})
+        click.echo(json.dumps(doc, indent=2, allow_nan=False))
 
 
 def _table(fmt: str, command: str, header: list[str], rows: list[list], **fields) -> None:

@@ -20,8 +20,10 @@ from .product import (
     TAIL_EPS,
     ProductState,
     _class_factors,
-    _edited,
+    _cmul,
+    _dot,
     _self_product,
+    _with_slot,
     add,
     ensemble,
     inner_infinite,
@@ -93,22 +95,25 @@ def apply_frequency(spec: FrequencySpec, psi: ProductState) -> ProductState:
     n = spec.n_slots
     kvec = _measurement_vector(spec.k, d, spec.basis)
     out = []
-    for t in psi.terms:
-        if t.prefix_len > n:
-            raise ValueError(
-                f"term prefix length {t.prefix_len} exceeds the operator's "
-                f"n_slots={n}"
-            )
-        # every unedited slot holds the same tail array: one overlap serves all
-        tail = t.tail
-        tail_a = complex(np.vdot(kvec, tail))
-        for alpha in range(1, n + 1):
-            s = t.slot(alpha)
-            a = tail_a if s is tail else complex(np.vdot(kvec, s))
-            if a == 0:
-                continue
-            out.append(_edited(t, t.coeff * a / n, alpha, kvec))
-    return ProductState(out, dim=d)
+    for c in psi._classes:
+        # overlap[i, alpha - 1] = <k| slot alpha of term i>
+        overlap = np.full((c.coeff.size, n), _dot(kvec, c.tail))
+        if c.slots.size:
+            late = c.owner[c.slots > n]  # the terms of the edits past slot N
+            if late.size:
+                raise ValueError(
+                    f"term prefix length {c.slots[c.owner == late[0]].max()} "
+                    f"exceeds the operator's n_slots={n}"
+                )
+            overlap[c.owner, c.slots - 1] = _dot(kvec, c.vecs)
+        term, col = overlap.nonzero()  # term by term, slot by slot
+        if not term.size:
+            continue
+        coeff = _cmul(c.coeff[term], overlap[term, col])
+        parts = coeff.view(np.float64)
+        parts /= n  # each part on its own, as Python's complex / int rounds
+        out.append(_with_slot(c, term, col + 1, kvec, coeff))
+    return ProductState._of(out, d)
 
 
 def _slot_deviation(kvec: np.ndarray, s: StateVector) -> tuple[float, float]:
@@ -218,14 +223,15 @@ def cauchy_gap_grid(
         raise ValueError("n_max must be at least 1")
     kvec = _measurement_vector(k, s.dim, basis)
     a = complex(np.vdot(kvec, s.amps))
-    (base,) = ensemble(s).terms
-    block = [_edited(base, 1.0 + 0j, alpha, kvec) for alpha in range(1, n_max + 1)]
-    x, y, shared = _class_factors(block, block)
+    # term alpha edits slot alpha alone, with kvec
+    (c,) = ensemble(s)._classes
+    block = _with_slot(c, np.zeros(n_max, dtype=np.int64), np.arange(1, n_max + 1),
+                       kvec, np.ones(n_max, dtype=np.complex128))
+    x, y, (i, j, g) = _class_factors(block, block)
     # each term edits its own slot, so only the diagonal pairs are exceptions;
     # each adds its exact product minus its rank-one value
     excess = np.zeros(n_max, dtype=np.complex128)
-    for i, j, g in shared:
-        excess[i] = g - x[i] * y[j]
+    excess[i] = g - _cmul(x[i], y[j])
     xs, ys, es = np.cumsum(x), np.cumsum(y), np.cumsum(excess)
     m = np.arange(1, n_max + 1)[:, None]
     n = m.T

@@ -13,6 +13,11 @@ converges to 1 (when ``z`` is 1) or kills the term pair (|z| < 1 drives the
 product to zero; a unimodular ``z != 1`` never settles, and such pairs are
 assigned overlap zero as well). ``TAIL_EPS`` makes that dichotomy
 numerically explicit.
+
+A state is stored as one array record per tail class (`_TailClass`): a
+coefficient vector and the edits in CSR form, so the scalar product costs a
+fixed number of numpy operations per pair of classes, not Python work per
+term. ``ProductTerm`` is the one-term view that builds and reads them.
 """
 
 from __future__ import annotations
@@ -36,6 +41,128 @@ def _slot_array(slot, what: str) -> np.ndarray:
     return a
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``<u|v>`` over the last axis: products summed over the slot dimension
+    in one einsum loop, with no BLAS call, so no bit depends on the threads."""
+    return np.einsum("...i,...i->...", u.conj(), v)
+
+
+def _cmul(a, b) -> np.ndarray:
+    """``a * b`` elementwise, rounded as Python's complex product rounds it:
+    each part is two products and a sum, never a fused multiply-add."""
+    ar, ai, br, bi = a.real, a.imag, b.real, b.imag
+    re = ar * br - ai * bi
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = ar * bi + ai * br
+    return out
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The runs ``arange(s, s + n)`` for each start and length, concatenated."""
+    ends = lens.cumsum()
+    return np.arange(ends[-1] if ends.size else 0) + (starts - ends + lens).repeat(lens)
+
+
+def _segment_products(f, starts, lens, top: int, g=None) -> np.ndarray:
+    """Products of the runs ``f[s:s + n]`` (``n <= top``), factor by factor
+    in run order, onto ``g`` (an empty run keeps its entry, 1 by default)."""
+    fresh = g is None
+    if fresh:
+        g = np.empty(lens.size, dtype=np.complex128)
+        g.fill(1.0)
+    for k in range(top):
+        live = (lens > k).nonzero()[0]
+        factor = f[starts[live] + k]
+        # 1 * factor is the factor itself but for the sign of a zero part,
+        # which a sum that starts at +0 never shows
+        g[live] = factor if fresh and k == 0 else _cmul(g[live], factor)
+    return g
+
+
+class _TailClass:
+    """The terms of a state that share one tail, as arrays.
+
+    Term ``i`` has coefficient ``coeff[i]`` and the edits
+    ``offsets[i]:offsets[i + 1]``: 1-based slot indices in ``slots``
+    (distinct within a term, in the order they were set) and slot vectors
+    in the rows of ``vecs``. ``owner`` (the term of each edit), ``order``
+    (the edits sorted by slot, stably) and ``sorted_slots`` are derived
+    once, here.
+    """
+
+    __slots__ = ("tail", "coeff", "counts", "offsets", "slots", "vecs",
+                 "owner", "order", "sorted_slots", "max_count")
+
+    def __init__(self, tail, coeff, counts, slots, vecs):
+        for a in (coeff, slots, vecs):
+            a.setflags(write=False)
+        self.tail = tail
+        self.coeff = coeff
+        self.counts = counts
+        self.offsets = np.concatenate(([0], counts.cumsum()))
+        self.slots = slots
+        self.vecs = vecs
+        self.owner = np.arange(counts.size).repeat(counts)
+        self.order = slots.argsort(kind="stable")
+        self.sorted_slots = slots[self.order]
+        self.max_count = int(counts.max(initial=0))
+
+    def scaled(self, c: complex) -> _TailClass:
+        u = _TailClass.__new__(_TailClass)
+        for name in self.__slots__:
+            setattr(u, name, getattr(self, name))
+        u.coeff = _cmul(self.coeff, c)
+        u.coeff.setflags(write=False)
+        return u
+
+
+def _concat(classes: list[_TailClass]) -> _TailClass:
+    """One class holding the terms of ``classes`` (equal tails) in order."""
+    if len(classes) == 1:
+        return classes[0]
+    return _TailClass(
+        classes[0].tail,
+        np.concatenate([c.coeff for c in classes]),
+        np.concatenate([c.counts for c in classes]),
+        np.concatenate([c.slots for c in classes]),
+        np.concatenate([c.vecs for c in classes]),
+    )
+
+
+def _with_slot(c: _TailClass, term, slot, v: np.ndarray, coeff) -> _TailClass:
+    """Terms ``term`` of ``c``, with coefficients ``coeff``, where output term
+    m has slot ``slot[m]`` set to ``v``: in place if the term edits that slot,
+    else as its last edit."""
+    if not c.slots.size:  # unedited terms: each gains its one edit
+        return _TailClass(c.tail, coeff, np.ones(term.size, dtype=np.int64), slot,
+                          np.broadcast_to(v, (term.size, v.size)))
+    n_old = c.counts[term]
+    src = _ranges(c.offsets[term], n_old)
+    same = c.slots[src] == slot.repeat(n_old)
+    appended = np.ones(term.size, dtype=bool)
+    appended[np.arange(term.size).repeat(n_old)[same]] = False
+    counts = n_old + appended
+    start = counts.cumsum() - counts
+    dst = _ranges(start, n_old)
+    slots = np.empty(counts.sum(), dtype=np.int64)
+    vecs = np.empty((slots.size, v.size), dtype=np.complex128)
+    slots[dst], vecs[dst] = c.slots[src], c.vecs[src]
+    vecs[dst[same]] = v
+    new = (start + n_old)[appended]
+    slots[new], vecs[new] = slot[appended], v
+    return _TailClass(c.tail, coeff, counts, slots, vecs)
+
+
+def _by_tail(items) -> list[list]:
+    """``items`` (each with a ``tail``) grouped by equal tail, in order of
+    first appearance."""
+    groups = {}
+    for it in items:
+        groups.setdefault(it.tail.tobytes(), []).append(it)
+    return list(groups.values())
+
+
 class ProductTerm:
     """One weighted product vector: a constant unit tail with edited slots.
 
@@ -44,7 +171,7 @@ class ProductTerm:
     unit vector, since it repeats forever.
     """
 
-    __slots__ = ("_coeff", "_edits", "_tail", "_dim")
+    __slots__ = ("_coeff", "_slots", "_vecs", "_tail", "_dim")
 
     def __init__(self, coeff: complex, prefix, tail):
         c = complex(coeff)
@@ -55,16 +182,18 @@ class ProductTerm:
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"tail norm {n:.12g} deviates from 1 beyond {NORM_TOL}")
         d = tail_arr.size
-        edits = {}
+        vecs = []
         for alpha, s in enumerate(prefix, start=1):
             a = _slot_array(s, f"prefix slot {alpha}")
             if a.size != d:
                 raise ValueError(
                     f"prefix slot {alpha} has dim {a.size}, tail has dim {d}"
                 )
-            edits[alpha] = a
+            vecs.append(a)
         self._coeff = c
-        self._edits = edits
+        self._slots = np.arange(1, len(vecs) + 1)
+        self._vecs = np.array(vecs, dtype=np.complex128).reshape(len(vecs), d)
+        self._vecs.setflags(write=False)
         self._tail = tail_arr
         self._dim = d
 
@@ -82,13 +211,14 @@ class ProductTerm:
 
     @property
     def prefix_len(self) -> int:
-        return max(self._edits, default=0)
+        return int(self._slots.max(initial=0))
 
     def slot(self, alpha: int) -> np.ndarray:
         """Slot vector at 1-based position ``alpha`` (the tail if not edited)."""
         if alpha < 1:
             raise ValueError("slot positions are 1-based")
-        return self._edits.get(alpha, self._tail)
+        hit = np.flatnonzero(self._slots == alpha)
+        return self._vecs[hit[0]] if hit.size else self._tail
 
     def __repr__(self) -> str:
         return (
@@ -97,21 +227,39 @@ class ProductTerm:
         )
 
 
-def _edited(t: ProductTerm, coeff: complex, alpha: int | None = None, v=None):
-    # t with coefficient coeff and, if alpha is given, slot alpha set to v;
-    # the arrays are shared, not copied or checked.
+def _view(coeff, slots, vecs, tail) -> ProductTerm:
+    # a term over the given arrays, shared, not copied or checked
     u = ProductTerm.__new__(ProductTerm)
-    u._coeff = coeff
-    u._edits = t._edits if alpha is None else {**t._edits, alpha: v}
-    u._tail = t._tail
-    u._dim = t._dim
+    u._coeff, u._slots, u._vecs, u._tail, u._dim = coeff, slots, vecs, tail, tail.size
     return u
 
 
-class ProductState:
-    """A finite linear combination of ``ProductTerm``s of one slot dimension."""
+def _edited(t: ProductTerm, coeff: complex, alpha: int, v) -> ProductTerm:
+    # t with coefficient coeff and slot alpha set to v (in place if t edits
+    # it, else as its last edit); v is not checked
+    c = _with_slot(_class_of_terms([t]), np.zeros(1, dtype=np.int64), np.array([alpha]),
+                   np.asarray(v, dtype=np.complex128), np.array([coeff], dtype=np.complex128))
+    return _view(coeff, c.slots, c.vecs, t._tail)
 
-    __slots__ = ("_terms", "_dim")
+
+def _class_of_terms(ts: list[ProductTerm]) -> _TailClass:
+    return _TailClass(
+        ts[0].tail,
+        np.array([t.coeff for t in ts], dtype=np.complex128),
+        np.array([t._slots.size for t in ts]),
+        np.concatenate([t._slots for t in ts]),
+        np.concatenate([t._vecs for t in ts]),
+    )
+
+
+class ProductState:
+    """A finite linear combination of ``ProductTerm``s of one slot dimension.
+
+    The terms are held per tail class; ``terms`` lists them class by class,
+    each class in the order its terms were given.
+    """
+
+    __slots__ = ("_classes", "_dim")
 
     def __init__(self, terms, dim: int | None = None):
         ts = tuple(terms)
@@ -128,95 +276,105 @@ class ProductState:
             d = dim
         if d < 1:
             raise ValueError("dim must be positive")
-        self._terms = ts
+        self._classes = [_class_of_terms(g) for g in _by_tail(ts)]
         self._dim = d
+
+    @classmethod
+    def _of(cls, classes: list[_TailClass], dim: int) -> ProductState:
+        state = cls.__new__(cls)
+        state._classes = classes
+        state._dim = dim
+        return state
 
     @property
     def terms(self) -> tuple[ProductTerm, ...]:
-        return self._terms
+        return tuple(
+            _view(complex(c.coeff[i]), c.slots[lo:hi], c.vecs[lo:hi], c.tail)
+            for c in self._classes
+            for i, (lo, hi) in enumerate(zip(c.offsets[:-1], c.offsets[1:]))
+        )
 
     @property
     def dim(self) -> int:
         return self._dim
 
     def __repr__(self) -> str:
-        return f"ProductState(dim={self._dim}, terms={len(self._terms)})"
+        n_terms = sum(c.coeff.size for c in self._classes)
+        return f"ProductState(dim={self._dim}, terms={n_terms})"
 
 
 def ensemble(s: StateVector) -> ProductState:
     """The infinitely repeated preparation ``|s> |s> |s> ...`` (one term)."""
-    return ProductState([ProductTerm(1.0, (), s)])
+    one = _TailClass(_slot_array(s, "tail"), np.ones(1, dtype=np.complex128),
+                     np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                     np.zeros((0, s.dim), dtype=np.complex128))
+    return ProductState._of([one], s.dim)
 
 
 def add(a: ProductState, b: ProductState) -> ProductState:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return ProductState(a.terms + b.terms, dim=a.dim)
+    return ProductState._of(
+        [_concat(g) for g in _by_tail(a._classes + b._classes)], a.dim
+    )
 
 
 def scale(a: ProductState, c: complex) -> ProductState:
     c = complex(c)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError("scale factor must be finite")
-    return ProductState(
-        [_edited(t, t.coeff * c) for t in a.terms],
-        dim=a.dim,
-    )
+    return ProductState._of([k.scaled(c) for k in a._classes], a.dim)
 
 
-def _tail_classes(state: ProductState) -> list[list[ProductTerm]]:
-    # terms grouped by equal tail, in order of first appearance
-    classes = {}
-    for t in state.terms:
-        classes.setdefault(t._tail.tobytes(), []).append(t)
-    return list(classes.values())
-
-
-def _pair_product(ea: dict, eb: dict, tail_a, tail_b, overlap) -> complex:
-    # prod over the edited slots of either term of <slot_a(alpha)|slot_b(alpha)>;
-    # the slots neither term edits count as 1, as past the last edit
-    g = 1 + 0j
-    for alpha, u in ea.items():
-        g *= overlap(u, eb.get(alpha, tail_b))
-    for beta, v in eb.items():
-        if beta not in ea:
-            g *= overlap(tail_a, v)
-    return g
-
-
-def _class_factors(ta: list[ProductTerm], tb: list[ProductTerm]):
+def _class_factors(ca: _TailClass, cb: _TailClass):
     """Factors of the term-pair products of one tail class of each state.
 
     An edit of term i meets tail b at every slot term j leaves alone, so
     the pair's product, coefficients excluded, is ``x_i y_j`` with
     ``x_i = prod <e_i(alpha)|tail_b>`` over term i's edits and
     ``y_j = prod <tail_a|e_j(beta)>`` over term j's. The pairs that share
-    an edited slot, found through a slot index, are the exceptions: they
-    come back as ``(i, j, exact product)``, in term order.
+    an edited slot, found by joining the edits on their sorted slots, are
+    the exceptions: they come back as arrays ``(i, j, exact product)``, in
+    term order, each pair once.
     """
-    tail_a, tail_b = ta[0].tail, tb[0].tail
-    cache = {}
-
-    def overlap(u, v):
-        # slot vectors are read-only and outlive the call: key by identity
-        key = (id(u), id(v))
-        z = cache.get(key)
-        if z is None:
-            z = cache[key] = complex(np.vdot(u, v))
-        return z
-
-    x = [_pair_product(t._edits, {}, tail_a, tail_b, overlap) for t in ta]
-    y = [_pair_product({}, t._edits, tail_a, tail_b, overlap) for t in tb]
-    by_slot = {}
-    for j, t in enumerate(tb):
-        for beta in t._edits:
-            by_slot.setdefault(beta, []).append(j)
-    shared = []
-    for i, t in enumerate(ta):
-        for j in dict.fromkeys(j for alpha in t._edits for j in by_slot.get(alpha, ())):
-            g = _pair_product(t._edits, tb[j]._edits, tail_a, tail_b, overlap)
-            shared.append((i, j, g))
-    return x, y, shared
+    xa = _dot(cb.tail, ca.vecs).conj()
+    yb = _dot(ca.tail, cb.vecs)
+    x = _segment_products(xa, ca.offsets[:-1], ca.counts, ca.max_count)
+    y = _segment_products(yb, cb.offsets[:-1], cb.counts, cb.max_count)
+    # every meeting (edit e of a, edit f of b) on one slot, in a's edit order
+    lo = cb.sorted_slots.searchsorted(ca.slots, "left")
+    hits = cb.sorted_slots.searchsorted(ca.slots, "right") - lo
+    e = np.arange(ca.slots.size).repeat(hits)
+    f = cb.order[_ranges(lo, hits)]
+    i, j = ca.owner[e], cb.owner[f]
+    shared = _dot(ca.vecs[e], cb.vecs[f])
+    if ca.max_count <= 1 and cb.max_count <= 1:
+        # terms of one edit at most: a pair that meets shares its only one
+        return x, y, (i, j, shared)
+    pair = np.arange(e.size)
+    if ca.max_count > 1 and cb.max_count > 1:
+        # terms that share several slots meet once per slot: keep the first
+        _, first, inv = np.unique(i * cb.coeff.size + j, return_index=True,
+                                  return_inverse=True)
+        rank = first.argsort()
+        pair = rank.argsort()[inv]
+        i, j = i[first[rank]], j[first[rank]]
+    # exact products: term i's edits in order, each against term j's edit on
+    # its slot or else tail b, then term j's other edits against tail a
+    n_a = ca.counts[i]
+    fa = xa[_ranges(ca.offsets[i], n_a)]
+    start_a = n_a.cumsum() - n_a
+    fa[start_a[pair] + e - ca.offsets[ca.owner[e]]] = shared
+    g = _segment_products(fa, start_a, n_a, ca.max_count)
+    n_b = cb.counts[j]
+    if n_b.sum() > f.size:  # some term j edits a slot its term i leaves alone
+        fb = yb[_ranges(cb.offsets[j], n_b)]
+        alone = np.ones(fb.size, dtype=bool)
+        start_b = n_b.cumsum() - n_b
+        alone[start_b[pair] + f - cb.offsets[cb.owner[f]]] = False
+        n_b = n_b - np.bincount(pair, minlength=i.size)
+        g = _segment_products(fb[alone], n_b.cumsum() - n_b, n_b, cb.max_count, g)
+    return x, y, (i, j, g)
 
 
 def inner_infinite(a: ProductState, b: ProductState) -> complex:
@@ -226,24 +384,29 @@ def inner_infinite(a: ProductState, b: ProductState) -> complex:
     module docstring. Within a pair of tail classes the sum over term pairs
     is the rank-one ``(sum conj(c_i) x_i)(sum c_j y_j)`` of `_class_factors`,
     with the pairs that share an edited slot traded for their exact product.
-    Class pairs whose tails fail the tail rule are never visited, so exact
-    zeros from the rule are exact in the result.
+    Every sum runs in term order (a cumulative sum, not numpy's pairwise
+    one). Class pairs whose tails fail the tail rule are never visited, so
+    exact zeros from the rule are exact in the result.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    classes_b = _tail_classes(b)
-    total = 0j
-    for ta in _tail_classes(a):
-        for tb in classes_b:
-            if abs(complex(np.vdot(ta[0].tail, tb[0].tail)) - 1.0) > TAIL_EPS:
+    parts = [np.zeros(1, dtype=np.complex128)]
+    for ka in a._classes:
+        for kb in b._classes:
+            if abs(complex(_dot(ka.tail, kb.tail)) - 1.0) > TAIL_EPS:
                 continue
-            x, y, shared = _class_factors(ta, tb)
-            ca = [t.coeff.conjugate() for t in ta]
-            cb = [t.coeff for t in tb]
-            total += sum(c * xi for c, xi in zip(ca, x)) * sum(c * yj for c, yj in zip(cb, y))
-            for i, j, g in shared:
-                total += ca[i] * cb[j] * (g - x[i] * y[j])
-    return total
+            x, y, (i, j, g) = _class_factors(ka, kb)
+            ca, cb = ka.coeff.conj(), kb.coeff
+            # one pass of products: conj(c_i) x_i, c_j y_j, then per shared
+            # pair conj(c_i) c_j and x_i y_j
+            t_a, t_b = x.size, x.size + y.size
+            prod = _cmul(np.concatenate((ca, cb, ca[i], x[i])),
+                         np.concatenate((x, y, cb[j], y[j])))
+            rank_one = (complex(prod[:t_a].cumsum()[-1])
+                        * complex(prod[t_a:t_b].cumsum()[-1]))
+            parts.append([rank_one])
+            parts.append(_cmul(prod[t_b:t_b + i.size], g - prod[t_b + i.size:]))
+    return complex(np.concatenate(parts).cumsum()[-1])
 
 
 def _self_product(a: ProductState) -> float:

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freqop.cli import main
+from freqop.io import strict_loads
 
 
 @pytest.fixture
@@ -89,12 +90,19 @@ def test_a_nan_route_error_fails_verify_all_and_converge(runner, monkeypatch):
     monkeypatch.setattr("freqop.verify.deviation_norm", nan_route)
     result = runner.invoke(main, ["verify-all"])
     assert result.exit_code == 1
-    suites = {r["suite"]: r for r in json.loads(result.stdout)["suites"]}
+    # the NaN worst error is written as JSON null, which a strict parser reads
+    suites = {r["suite"]: r for r in strict_loads(result.stdout)["suites"]}
     assert suites["deviation-identity"]["failures"] > 0
+    assert suites["deviation-identity"]["max_error"] is None
     monkeypatch.setattr("freqop.cli.deviation_norm", nan_route)
     result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "0"])
     assert result.exit_code == 1
     assert "FAIL" in result.stderr
+    result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "0",
+                                  "--format", "json"])
+    assert result.exit_code == 1
+    rows = strict_loads(result.stdout)["rows"]
+    assert all(r["deviation_exact"] is None and r["abs_error"] is None for r in rows)
 
 
 def test_converge_rejects_missing_outcome(runner):

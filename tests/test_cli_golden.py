@@ -98,19 +98,29 @@ def test_golden_stdout(name, tmp_path, monkeypatch):
     assert stdout == (GOLDEN / name).read_bytes()
 
 
+def _state_and_basis(tmp_path: Path, d: int, key: int) -> tuple[str, str]:
+    """Files of a random state and a Haar unitary of dimension ``d``."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    state, basis = tmp_path / f"state{d}.json", tmp_path / f"basis{d}.json"
+    state.write_text(json.dumps(io.state_to_dict(random_state(d, rng))))
+    basis.write_text(json.dumps(io.matrix_to_dict(random_unitary(d, rng).entries)))
+    return str(state), str(basis)
+
+
 def test_stdout_does_not_depend_on_the_blas_thread_count(tmp_path):
     # from about d = 64 on a BLAS product of the basis and the state would
     # split its sums by thread, so sample --basis runs at d = 300
-    rng = np.random.Generator(np.random.Philox(key=300))
-    state, basis = tmp_path / "state300.json", tmp_path / "basis300.json"
-    state.write_text(json.dumps(io.state_to_dict(random_state(300, rng))))
-    basis.write_text(json.dumps(io.matrix_to_dict(random_unitary(300, rng).entries)))
+    state300, basis300 = _state_and_basis(tmp_path, 300, 300)
+    # the gram route's slot overlaps in a random basis: elementwise sums
+    state64, basis64 = _state_and_basis(tmp_path, 64, 64)
     cases = [
         (CASES["converge_tail.csv"][0], "converge_tail.csv"),
         (CASES["converge_512.csv"][0], "converge_512.csv"),
+        (["converge", "--state", state64, "--basis", basis64, "--k", "5",
+          "--ns", "512"], None),
         # the real suites, whose worst errors include the dense oracle's norm
         (["verify-all", "--seed", "42"], None),
-        (["sample", "--state", str(state), "--basis", str(basis), "--n", "1000",
+        (["sample", "--state", state300, "--basis", basis300, "--n", "1000",
           "--seed", "3"], None),
     ]
     for args, golden in cases:

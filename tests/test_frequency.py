@@ -119,6 +119,24 @@ def test_gram_route_at_large_n(rng):
     assert abs(rep.deviation_exact**2 - closed_sq) <= 1e-12 * closed_sq
 
 
+# The gram route's relative dev^2 error grows linearly in N: the rank-one
+# sums are of size p^2 and the shared-pair corrections cancel them down to
+# p/N. Over these four states it measures at most 6.9e-13 at N = 10^5, and
+# 2.6e-12 over 24 further random states; the bound is N * 2^-53, about 1e-11.
+GRAM_REL_DEV_SQ_AT_1E5 = 1e-11
+
+
+def test_gram_route_relative_error_at_n_1e5():
+    n = 10**5
+    rng = np.random.Generator(np.random.Philox(key=2024))
+    for d in (2, 3, 4, 5):
+        s = random_state(d, rng)
+        k = int(rng.integers(d))
+        rep = deviation_norm(FrequencySpec(k, n), s, method="gram")
+        closed_sq = (rep.p - rep.p * rep.p) / n
+        assert abs(rep.deviation_exact**2 - closed_sq) <= GRAM_REL_DEV_SQ_AT_1E5 * closed_sq
+
+
 def test_auto_method_switch(rng):
     s = random_state(2, rng)
     assert deviation_norm(FrequencySpec(0, 512), s).method == "gram"

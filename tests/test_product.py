@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from freqop.frequency import FrequencySpec, apply_frequency
 from freqop.hilbert import StateVector
+from freqop.oracle import dense_embed, dense_inner
 from freqop.product import (
     ProductState,
     ProductTerm,
@@ -204,3 +205,70 @@ def test_dead_tails_give_exact_zero_despite_huge_prefix():
     a = one_term_state(1.0, (big, big), E0)
     b = one_term_state(1.0, (big, big), np.array([0.6, 0.8], dtype=complex))
     assert inner_infinite(a, b) == 0j
+
+
+# ---------------------------------------------------------------------------
+# edge cases of the array kernel, against the dense route
+
+def _dense_product(a, b, n_slots):
+    return dense_inner(dense_embed(a, n_slots), dense_embed(b, n_slots))
+
+
+def test_pair_sharing_two_edited_slots_is_counted_once():
+    # the first terms share edited slots 1 to 3, the first of a and the
+    # second of b slots 1 and 2: the join meets such a pair once per shared
+    # slot, and it must enter the sum once, with its exact product
+    u = [np.array([0.3 + 0.1j, -0.7]), E1, np.array([0.2, 0.9j])]
+    v = [np.array([1.1, 0.4j]), np.array([-0.5, 0.5]), np.array([0.6j, 0.1])]
+    a = ProductState([ProductTerm(0.7 - 0.2j, u, E0), ProductTerm(0.5, (u[0],), E0)])
+    b = ProductState([ProductTerm(1.3j, v, E0), ProductTerm(-0.4, (E1, E1), E0)])
+    expected = _dense_product(a, b, 3)
+    npt.assert_allclose(inner_infinite(a, b), expected, rtol=1e-14, atol=1e-15)
+    npt.assert_allclose(inner_infinite(b, a), np.conj(expected), rtol=1e-14, atol=1e-15)
+
+
+def test_class_mixing_unedited_and_edited_terms():
+    # the unedited term is an empty run of edits between two non-empty ones
+    w = np.array([0.8, -0.6j])
+    a = ProductState([
+        ProductTerm(0.5, (w, DIAG), DIAG),
+        ProductTerm(-1.5j, (), DIAG),
+        ProductTerm(2.0, (E1,), DIAG),
+    ])
+    b = ProductState([ProductTerm(1.0, (), DIAG), ProductTerm(0.25, (E0, w), DIAG)])
+    for x, y in ((a, b), (b, a), (a, a)):
+        npt.assert_allclose(inner_infinite(x, y), _dense_product(x, y, 2),
+                            rtol=1e-14, atol=1e-15)
+
+
+def test_scale_by_zero_keeps_the_terms_and_gives_the_zero_vector():
+    phi = apply_frequency(FrequencySpec(1, 5), ensemble(StateVector([0.6, 0.8])))
+    z = scale(phi, 0)
+    assert len(z.terms) == len(phi.terms)
+    assert all(t.coeff == 0 for t in z.terms)
+    assert norm(z) == 0.0
+    assert inner_infinite(z, phi) == 0
+    assert inner_infinite(add(phi, z), phi) == inner_infinite(phi, phi)
+
+
+def test_apply_frequency_drops_zero_overlap_terms():
+    # k = 1 is orthogonal to the tail E0, so only the slots edited away from
+    # E0 survive: slot 2 of the first term and slot 1 of the second
+    psi = ProductState([ProductTerm(2.0, (E0, DIAG), E0), ProductTerm(1.0j, (E1,), E0)])
+    phi = apply_frequency(FrequencySpec(1, 3), psi)
+    assert [(t.coeff, t.prefix_len) for t in phi.terms] == [
+        (pytest.approx(2.0 * DIAG[1] / 3), 2), (pytest.approx(1.0j / 3), 1)]
+    npt.assert_array_equal(phi.terms[0].slot(2), E1)
+    npt.assert_array_equal(phi.terms[1].slot(1), E1)
+    with pytest.raises(ValueError, match="prefix length 2 exceeds"):
+        apply_frequency(FrequencySpec(1, 1), psi)
+
+
+def test_tail_rule_kills_one_class_pair_exactly():
+    # a second, separated tail class adds its edits to neither side's sum:
+    # the product over the live pair is the same bits as without it
+    live = ProductState([ProductTerm(0.3, (E1, DIAG), E0)])
+    other = ProductState([ProductTerm(5.0, (E1, E0, DIAG), DIAG)])
+    assert inner_infinite(other, live) == 0j
+    assert inner_infinite(live, other) == 0j
+    assert inner_infinite(add(live, other), live) == inner_infinite(live, live)
