@@ -21,7 +21,6 @@ import sys
 import traceback
 
 import click
-import numpy as np
 
 from . import io
 from .frequency import VERIFY_TOL, FrequencySpec, deviation_norm
@@ -30,7 +29,7 @@ from .oracle import dense_spectrum
 from .sampling import max_abs_z, sample_ensemble
 from .scenarios import epr_check, wigner_friend_check
 from .sequential import SequentialSpec, succession_frequency, succession_probabilities
-from .verify import DEFAULT_SEED, SEED_MAX, run_all
+from .verify import DEFAULT_SEED, SEED_MAX, SPECTRUM_TOL, judge, run_all
 
 SCHEMA_VERSION = 1
 
@@ -74,6 +73,15 @@ def _verdict(line: str, ok: bool) -> None:
     click.echo(line, err=True)
     if not ok:
         sys.exit(1)
+
+
+def _judged(line: str, errors: list[float], tolerance: float) -> None:
+    """Judge ``errors`` by `verify.judge` and end the summary ``line`` with
+    the verdict; in ``line``, ``{worst}`` is the worst error and ``{0}``,
+    ``{1}``, ... the errors themselves."""
+    _, failures, worst = judge(errors, tolerance)
+    _verdict(f"{line.format(*errors, worst=worst)} "
+             f"({'FAIL' if failures else 'pass'} at {tolerance:g})", not failures)
 
 
 @contextlib.contextmanager
@@ -213,23 +221,18 @@ def converge(s, basis, k, ns, tolerance, fmt):
          float(rep.applied_norm**2)]
         for rep in reports
     ]
-    worst = float(np.max([row[4] for row in rows], initial=0.0))  # NaN propagates
     header = ["N", "p", "deviation_exact", "deviation_closed", "abs_error",
               "norm_fN_sq"]
     _table(fmt, "converge", header, rows, k=k, tolerance=tolerance)
-    ok = worst <= tolerance
-    _verdict(
-        f"converge: worst |deviation^2 - closed^2| = {worst:.3g} "
-        f"({'pass' if ok else 'FAIL'} at {tolerance:g})",
-        ok,
-    )
+    _judged("converge: worst |deviation^2 - closed^2| = {worst:.3g}",
+            [row[4] for row in rows], tolerance)
 
 
 @main.command()
 @click.option("--dim", "-d", type=int, required=True, help="Slot dimension.")
 @click.option("--slots", type=int, required=True, help="Number of slots N.")
 @click.option("--k", type=int, required=True, help="Counted outcome index.")
-@click.option("--tolerance", type=TOLERANCE, default=1e-9, show_default=True,
+@click.option("--tolerance", type=TOLERANCE, default=SPECTRUM_TOL, show_default=True,
               help="Containment tolerance for eigenvalues.")
 @format_option
 def spectrum(dim, slots, k, tolerance, fmt):
@@ -247,15 +250,10 @@ def spectrum(dim, slots, k, tolerance, fmt):
     for i, lam in enumerate(eigs):
         nearest = round(float(lam) * slots) / slots
         rows.append([i, float(lam), float(nearest), abs(float(lam) - nearest)])
-    worst = max(0.0, *(row[3] for row in rows))
     header = ["index", "eigenvalue", "nearest_grid", "abs_error"]
     _table(fmt, "spectrum", header, rows, dim=dim, slots=slots, k=k)
-    ok = worst <= tolerance
-    _verdict(
-        f"spectrum: worst off-grid distance = {worst:.3g} "
-        f"({'pass' if ok else 'FAIL'} at {tolerance:g})",
-        ok,
-    )
+    _judged("spectrum: worst off-grid distance = {worst:.3g}",
+            [row[3] for row in rows], tolerance)
 
 
 @main.command()
@@ -296,12 +294,8 @@ def sequential(h_path, dt, m, n, successions, tolerance, fmt):
         "n": n,
         "row": dict(zip(header, row)),
     })
-    ok = abs_error <= tolerance and prob_sum_error <= tolerance
-    _verdict(
-        f"sequential: identity error {abs_error:.3g}, probability sum error "
-        f"{prob_sum_error:.3g} ({'pass' if ok else 'FAIL'} at {tolerance:g})",
-        ok,
-    )
+    _judged("sequential: identity error {0:.3g}, probability sum error {1:.3g}",
+            [abs_error, prob_sum_error], tolerance)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)

@@ -99,13 +99,14 @@ def apply_frequency(spec: FrequencySpec, psi: ProductState) -> ProductState:
         # overlap[i, alpha - 1] = <k| slot alpha of term i>
         overlap = np.full((c.coeff.size, n), _dot(kvec, c.tail))
         if c.slots.size:
-            late = c.owner[c.slots > n]  # the terms of the edits past slot N
+            owner = np.arange(c.coeff.size).repeat(c.counts)  # the term of each edit
+            late = owner[c.slots > n]  # the terms of the edits past slot N
             if late.size:
                 raise ValueError(
-                    f"term prefix length {c.slots[c.owner == late[0]].max()} "
+                    f"term prefix length {c.slots[owner == late[0]].max()} "
                     f"exceeds the operator's n_slots={n}"
                 )
-            overlap[c.owner, c.slots - 1] = _dot(kvec, c.vecs)
+            overlap[owner, c.slots - 1] = _dot(kvec, c.vecs)
         term, col = overlap.nonzero()  # term by term, slot by slot
         if not term.size:
             continue

@@ -86,13 +86,11 @@ class _TailClass:
     Term ``i`` has coefficient ``coeff[i]`` and the edits
     ``offsets[i]:offsets[i + 1]``: 1-based slot indices in ``slots``
     (distinct within a term, in the order they were set) and slot vectors
-    in the rows of ``vecs``. ``owner`` (the term of each edit), ``order``
-    (the edits sorted by slot, stably) and ``sorted_slots`` are derived
-    once, here.
+    in the rows of ``vecs``. Nothing else is kept: `_class_factors`, the one
+    function that joins classes, derives its join arrays itself.
     """
 
-    __slots__ = ("tail", "coeff", "counts", "offsets", "slots", "vecs",
-                 "owner", "order", "sorted_slots", "max_count")
+    __slots__ = ("tail", "coeff", "counts", "offsets", "slots", "vecs")
 
     def __init__(self, tail, coeff, counts, slots, vecs):
         for a in (coeff, slots, vecs):
@@ -103,18 +101,6 @@ class _TailClass:
         self.offsets = np.concatenate(([0], counts.cumsum()))
         self.slots = slots
         self.vecs = vecs
-        self.owner = np.arange(counts.size).repeat(counts)
-        self.order = slots.argsort(kind="stable")
-        self.sorted_slots = slots[self.order]
-        self.max_count = int(counts.max(initial=0))
-
-    def scaled(self, c: complex) -> _TailClass:
-        u = _TailClass.__new__(_TailClass)
-        for name in self.__slots__:
-            setattr(u, name, getattr(self, name))
-        u.coeff = _cmul(self.coeff, c)
-        u.coeff.setflags(write=False)
-        return u
 
 
 def _concat(classes: list[_TailClass]) -> _TailClass:
@@ -171,7 +157,7 @@ class ProductTerm:
     unit vector, since it repeats forever.
     """
 
-    __slots__ = ("_coeff", "_slots", "_vecs", "_tail", "_dim")
+    __slots__ = ("_coeff", "_slots", "_vecs", "_tail")
 
     def __init__(self, coeff: complex, prefix, tail):
         c = complex(coeff)
@@ -195,7 +181,6 @@ class ProductTerm:
         self._vecs = np.array(vecs, dtype=np.complex128).reshape(len(vecs), d)
         self._vecs.setflags(write=False)
         self._tail = tail_arr
-        self._dim = d
 
     @property
     def coeff(self) -> complex:
@@ -207,7 +192,7 @@ class ProductTerm:
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return self._tail.size
 
     @property
     def prefix_len(self) -> int:
@@ -222,7 +207,7 @@ class ProductTerm:
 
     def __repr__(self) -> str:
         return (
-            f"ProductTerm(dim={self._dim}, prefix_len={self.prefix_len}, "
+            f"ProductTerm(dim={self.dim}, prefix_len={self.prefix_len}, "
             f"coeff={self._coeff:.6g})"
         )
 
@@ -230,7 +215,7 @@ class ProductTerm:
 def _view(coeff, slots, vecs, tail) -> ProductTerm:
     # a term over the given arrays, shared, not copied or checked
     u = ProductTerm.__new__(ProductTerm)
-    u._coeff, u._slots, u._vecs, u._tail, u._dim = coeff, slots, vecs, tail, tail.size
+    u._coeff, u._slots, u._vecs, u._tail = coeff, slots, vecs, tail
     return u
 
 
@@ -323,7 +308,10 @@ def scale(a: ProductState, c: complex) -> ProductState:
     c = complex(c)
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise ValueError("scale factor must be finite")
-    return ProductState._of([k.scaled(c) for k in a._classes], a.dim)
+    return ProductState._of(
+        [_TailClass(k.tail, _cmul(k.coeff, c), k.counts, k.slots, k.vecs)
+         for k in a._classes], a.dim
+    )
 
 
 def _class_factors(ca: _TailClass, cb: _TailClass):
@@ -337,22 +325,34 @@ def _class_factors(ca: _TailClass, cb: _TailClass):
     the exceptions: they come back as arrays ``(i, j, exact product)``, in
     term order, each pair once.
     """
+    # the term of each edit and the most edits of a term, derived once for
+    # a class joined with itself
+    owner_a = np.arange(ca.counts.size).repeat(ca.counts)
+    max_count_a = int(ca.counts.max(initial=0))
+    if cb is ca:
+        owner_b, max_count_b = owner_a, max_count_a
+    else:
+        owner_b = np.arange(cb.counts.size).repeat(cb.counts)
+        max_count_b = int(cb.counts.max(initial=0))
     xa = _dot(cb.tail, ca.vecs).conj()
     yb = _dot(ca.tail, cb.vecs)
-    x = _segment_products(xa, ca.offsets[:-1], ca.counts, ca.max_count)
-    y = _segment_products(yb, cb.offsets[:-1], cb.counts, cb.max_count)
-    # every meeting (edit e of a, edit f of b) on one slot, in a's edit order
-    lo = cb.sorted_slots.searchsorted(ca.slots, "left")
-    hits = cb.sorted_slots.searchsorted(ca.slots, "right") - lo
+    x = _segment_products(xa, ca.offsets[:-1], ca.counts, max_count_a)
+    y = _segment_products(yb, cb.offsets[:-1], cb.counts, max_count_b)
+    # every meeting (edit e of a, edit f of b) on one slot, in a's edit
+    # order: b's edits sorted by slot, stably, then searched
+    order = cb.slots.argsort(kind="stable")
+    sorted_slots = cb.slots[order]
+    lo = sorted_slots.searchsorted(ca.slots, "left")
+    hits = sorted_slots.searchsorted(ca.slots, "right") - lo
     e = np.arange(ca.slots.size).repeat(hits)
-    f = cb.order[_ranges(lo, hits)]
-    i, j = ca.owner[e], cb.owner[f]
+    f = order[_ranges(lo, hits)]
+    i, j = owner_a[e], owner_b[f]
     shared = _dot(ca.vecs[e], cb.vecs[f])
-    if ca.max_count <= 1 and cb.max_count <= 1:
+    if max_count_a <= 1 and max_count_b <= 1:
         # terms of one edit at most: a pair that meets shares its only one
         return x, y, (i, j, shared)
     pair = np.arange(e.size)
-    if ca.max_count > 1 and cb.max_count > 1:
+    if max_count_a > 1 and max_count_b > 1:
         # terms that share several slots meet once per slot: keep the first
         _, first, inv = np.unique(i * cb.coeff.size + j, return_index=True,
                                   return_inverse=True)
@@ -364,16 +364,16 @@ def _class_factors(ca: _TailClass, cb: _TailClass):
     n_a = ca.counts[i]
     fa = xa[_ranges(ca.offsets[i], n_a)]
     start_a = n_a.cumsum() - n_a
-    fa[start_a[pair] + e - ca.offsets[ca.owner[e]]] = shared
-    g = _segment_products(fa, start_a, n_a, ca.max_count)
+    fa[start_a[pair] + e - ca.offsets[owner_a[e]]] = shared
+    g = _segment_products(fa, start_a, n_a, max_count_a)
     n_b = cb.counts[j]
     if n_b.sum() > f.size:  # some term j edits a slot its term i leaves alone
         fb = yb[_ranges(cb.offsets[j], n_b)]
         alone = np.ones(fb.size, dtype=bool)
         start_b = n_b.cumsum() - n_b
-        alone[start_b[pair] + f - cb.offsets[cb.owner[f]]] = False
+        alone[start_b[pair] + f - cb.offsets[owner_b[f]]] = False
         n_b = n_b - np.bincount(pair, minlength=i.size)
-        g = _segment_products(fb[alone], n_b.cumsum() - n_b, n_b, cb.max_count, g)
+        g = _segment_products(fb[alone], n_b.cumsum() - n_b, n_b, max_count_b, g)
     return x, y, (i, j, g)
 
 

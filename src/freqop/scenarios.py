@@ -66,21 +66,14 @@ class BipartiteState:
 
 
 def _project(state: BipartiteState, side: str, p: Projector) -> np.ndarray:
-    if side == "first":
-        if p.dim != state.dim_first:
-            raise ValueError(
-                f"projector dim {p.dim} does not match first subsystem "
-                f"dim {state.dim_first}"
-            )
-        return p.entries @ state.amps
-    if side == "second":
-        if p.dim != state.dim_second:
-            raise ValueError(
-                f"projector dim {p.dim} does not match second subsystem "
-                f"dim {state.dim_second}"
-            )
-        return state.amps @ p.entries.T
-    raise ValueError(f'side must be "first" or "second", got {side!r}')
+    if side not in ("first", "second"):
+        raise ValueError(f'side must be "first" or "second", got {side!r}')
+    dim = state.amps.shape[0 if side == "first" else 1]
+    if p.dim != dim:
+        raise ValueError(
+            f"projector dim {p.dim} does not match {side} subsystem dim {dim}"
+        )
+    return p.entries @ state.amps if side == "first" else state.amps @ p.entries.T
 
 
 def subsystem_truth_value(state: BipartiteState, side: str, p: Projector) -> TruthValue:

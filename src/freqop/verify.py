@@ -8,7 +8,7 @@ fixed seed. The CLI's ``verify-all`` command is a thin formatter over it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +23,7 @@ from .frequency import (
 from .hilbert import random_hermitian, random_state
 from .oracle import dense_deviation, dense_frequency_matrix
 from .sampling import sample_ensemble
-from .scenarios import epr_check, wigner_friend_check
+from .scenarios import PRODUCT_TOL, epr_check, wigner_friend_check
 from .sequential import SequentialSpec, succession_frequency, succession_probabilities
 
 DEFAULT_SEED = 42
@@ -40,12 +40,13 @@ class SuiteResult:
     max_error: float
 
 
-def _result(name: str, errors: Iterator[float], tol: float) -> SuiteResult:
-    """Judge one suite: a case fails unless its error is at most ``tol``."""
+def judge(errors: Iterable[float], tol: float) -> tuple[int, int, float]:
+    """Cases, failures and worst error of one check: a case fails unless its
+    error is at most ``tol``. Every suite and CLI check is judged here."""
     e = np.fromiter(errors, dtype=float)
     # a NaN error fails its case and, as np.max propagates it, is the worst
     failures = int(np.count_nonzero(~(e <= tol)))
-    return SuiteResult(name, e.size, failures, float(np.max(e, initial=0.0)))
+    return e.size, failures, float(np.max(e, initial=0.0))
 
 
 def _rng(seed: int, lane: int) -> np.random.Generator:
@@ -188,7 +189,7 @@ def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[Su
         raise ValueError(f"seed must be in 0..{SEED_MAX}")
     tol = VERIFY_TOL if tolerance is None else tolerance
     spec_tol = SPECTRUM_TOL if tolerance is None else tolerance
-    residual_tol = 1e-12 if tolerance is None else tolerance
+    residual_tol = PRODUCT_TOL if tolerance is None else tolerance
     suites = [
         ("deviation-identity", _suite_deviation(seed), tol),
         ("norm-identity", _suite_norm(seed), tol),
@@ -200,4 +201,4 @@ def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[Su
         ("wigner", _suite_wigner(seed, residual_tol), residual_tol),
         ("sampling", _suite_sampling(seed), SAMPLING_Z_LIMIT),
     ]
-    return [_result(name, errors, t) for name, errors, t in suites]
+    return [SuiteResult(name, *judge(errors, t)) for name, errors, t in suites]

@@ -7,13 +7,14 @@ import sys
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from freqop.cli import main
-from freqop.io import strict_loads
+from freqop.io import matrix_to_dict, strict_loads
 
 
 @pytest.fixture
@@ -79,7 +80,7 @@ def test_converge_reports_a_route_error_as_a_failed_check(runner, monkeypatch):
     assert all(abs(e - 1e-6) <= 1e-12 for e in errors)
 
 
-def test_a_nan_route_error_fails_verify_all_and_converge(runner, monkeypatch):
+def test_a_nan_route_error_fails_verify_all_and_converge(runner, monkeypatch, tmp_path):
     # nan > tol is False and max(0.0, nan) is 0.0, so a NaN must be judged
     # as a failure on purpose, not left to vanish from the count
     from freqop.cli import deviation_norm
@@ -103,6 +104,16 @@ def test_a_nan_route_error_fails_verify_all_and_converge(runner, monkeypatch):
     assert result.exit_code == 1
     rows = strict_loads(result.stdout)["rows"]
     assert all(r["deviation_exact"] is None and r["abs_error"] is None for r in rows)
+    monkeypatch.setattr("freqop.sequential.deviation_norm", nan_route)
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "rows": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+    }))
+    result = runner.invoke(main, ["sequential", "--hamiltonian", str(path), "--dt", "0.5",
+                                  "--m", "0", "--n", "1", "--successions", "4"])
+    assert result.exit_code == 1
+    assert "FAIL" in result.stderr
 
 
 def test_converge_rejects_missing_outcome(runner):
@@ -123,6 +134,15 @@ def test_converge_rejects_two_state_sources(runner, tmp_path):
 def test_converge_rejects_bad_amps(runner):
     result = runner.invoke(main, ["converge", "--amps", "zero;one", "--k", "0"])
     assert result.exit_code == 2
+
+
+def test_converge_rejects_a_basis_of_another_dimension(runner, tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(matrix_to_dict(np.eye(3))))
+    result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--basis", str(path),
+                                  "--k", "0"])
+    assert result.exit_code == 2
+    assert "basis dim 3 does not match state dim 2" in result.stderr
 
 
 def test_converge_rejects_non_finite_state_file(runner, tmp_path):
@@ -158,6 +178,10 @@ def test_spectrum_sits_on_the_grid_exactly(runner):
 def test_spectrum_cap(runner):
     result = runner.invoke(main, ["spectrum", "-d", "2", "--slots", "11", "--k", "0"])
     assert result.exit_code == 2
+    # 13 slots pass the slot bound, but 3**13 amplitudes exceed the dense cap
+    result = runner.invoke(main, ["spectrum", "-d", "3", "--slots", "13", "--k", "0"])
+    assert result.exit_code == 2
+    assert "3**13 exceeds the dense cap" in result.stderr
 
 
 def test_spectrum_refuses_huge_slot_count_at_once(runner):

@@ -227,11 +227,12 @@ def test_cauchy_gap_input_validation(rng):
 
 def test_cauchy_grid_matches_single_calls(rng):
     s = random_state(3, rng)
-    grid = cauchy_gap_grid(1, s, 12)
-    for m, n in ((1, 1), (2, 9), (5, 12), (12, 12)):
-        single = cauchy_gap(1, m, n, s, method="gram")
-        npt.assert_allclose(grid[m - 1, n - 1], single, atol=1e-13)
-    assert np.isnan(grid[5, 2])
+    for basis in (None, random_unitary(3, rng)):
+        grid = cauchy_gap_grid(1, s, 12, basis)
+        for m, n in ((1, 1), (2, 9), (5, 12), (12, 12)):
+            single = cauchy_gap(1, m, n, s, basis, method="gram")
+            npt.assert_allclose(grid[m - 1, n - 1], single, atol=1e-13)
+        assert np.isnan(grid[5, 2])
 
 
 def test_cross_orthogonality_exact_zero(rng):

@@ -39,6 +39,8 @@ def test_term_validation():
         term(1.0, ([1.0, 0.0, 0.0],), E0)
     with pytest.raises(ValueError, match="finite"):
         term(complex("inf"), (), E0)
+    with pytest.raises(ValueError, match="finite"):
+        scale(ensemble(StateVector(E0)), math.inf)
     # prefix slots, unlike tails, may have any norm
     t = term(1.0, ([5.0, 0.0], [0.0, 0.0]), E0)
     assert t.prefix_len == 2
@@ -113,6 +115,8 @@ def test_inner_dimension_mismatch():
     b = ensemble(StateVector([1.0, 0.0, 0.0]))
     with pytest.raises(ValueError, match="mismatch"):
         inner_infinite(a, b)
+    with pytest.raises(ValueError, match="mismatch"):
+        add(a, b)
 
 
 def test_pairwise_gram_shape_and_zero_terms():
