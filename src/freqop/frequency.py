@@ -23,6 +23,7 @@ from .product import (
     _cmul,
     _dot,
     _self_product,
+    _self_products,
     _with_slot,
     add,
     ensemble,
@@ -134,8 +135,12 @@ def deviation_norm(
 ) -> FrequencyReport:
     """Measure ``|| (f - p) |s>^infinity ||`` for the ensemble of ``s``.
 
-    Methods: ``"gram"`` builds the applied product state and takes scalar
-    products term by term; ``"counted"`` evaluates the same Gram sum
+    Methods: ``"gram"`` builds the applied product state ``f_N|s>^infinity``
+    and ``(f_N - p)|s>^infinity`` from actual slot vectors and takes both
+    squared norms from one pass over the class pair of the latter, whose
+    terms begin with the applied state's: the applied norm reads the same
+    term-order cumulative sums at its last term, so no bit depends on the
+    BLAS threads; ``"counted"`` evaluates the same Gram sum
     through pair multiplicities, exact for the one-term ensemble and O(1)
     in N; ``"auto"`` picks gram up to ``GRAM_LIMIT`` slots. The dense
     oracle is a separate route: ``oracle.dense_deviation`` (small N only).
@@ -150,9 +155,8 @@ def deviation_norm(
     if method == "gram":
         psi = ensemble(s)
         phi = apply_frequency(spec, psi)
-        applied_sq = _self_product(phi)
         delta = add(phi, scale(psi, -p))
-        dev_sq = _self_product(delta)
+        applied_sq, dev_sq = _self_products(phi, delta)
     elif method == "counted":
         # Counted Gram sums over the n one-slot terms: the n diagonal pairs give
         # 1 (projected) and |v|^2 (deviation), the n(n-1) others p and |<s|v>|^2.

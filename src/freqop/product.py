@@ -377,6 +377,39 @@ def _class_factors(ca: _TailClass, cb: _TailClass):
     return x, y, (i, j, g)
 
 
+def _class_pair_sums(a: ProductState, b: ProductState):
+    """The live class pairs of ``<a|b>`` in class order, each as
+    ``(m, n, sa, sb, i, j, corr)``.
+
+    Class ``m`` of ``a`` meets class ``n`` of ``b``; ``sa`` and ``sb`` are the
+    cumulative sums, in term order, of ``conj(c_i) x_i`` and ``c_j y_j`` of
+    `_class_factors`, and ``corr[q]`` is what shared pair ``(i[q], j[q])``
+    adds to their rank-one product: its exact product minus ``x_i y_j``,
+    times ``conj(c_i) c_j``. Class pairs whose tails fail the tail rule are
+    skipped.
+    """
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
+    for m, ka in enumerate(a._classes):
+        for n, kb in enumerate(b._classes):
+            if abs(complex(_dot(ka.tail, kb.tail)) - 1.0) > TAIL_EPS:
+                continue
+            x, y, (i, j, g) = _class_factors(ka, kb)
+            ca, cb = ka.coeff.conj(), kb.coeff
+            # one pass of products: conj(c_i) x_i, c_j y_j, then per shared
+            # pair conj(c_i) c_j and x_i y_j
+            t_a, t_b = x.size, x.size + y.size
+            prod = _cmul(np.concatenate((ca, cb, ca[i], x[i])),
+                         np.concatenate((x, y, cb[j], y[j])))
+            yield (m, n, prod[:t_a].cumsum(), prod[t_a:t_b].cumsum(), i, j,
+                   _cmul(prod[t_b:t_b + i.size], g - prod[t_b + i.size:]))
+
+
+def _total(parts: list) -> complex:
+    # rank-one products and corrections, summed in the order given
+    return complex(np.concatenate([np.zeros(1, dtype=np.complex128), *parts]).cumsum()[-1])
+
+
 def inner_infinite(a: ProductState, b: ProductState) -> complex:
     """Scalar product ``<a|b>``, antilinear in ``a``.
 
@@ -388,38 +421,49 @@ def inner_infinite(a: ProductState, b: ProductState) -> complex:
     one). Class pairs whose tails fail the tail rule are never visited, so
     exact zeros from the rule are exact in the result.
     """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    parts = [np.zeros(1, dtype=np.complex128)]
-    for ka in a._classes:
-        for kb in b._classes:
-            if abs(complex(_dot(ka.tail, kb.tail)) - 1.0) > TAIL_EPS:
-                continue
-            x, y, (i, j, g) = _class_factors(ka, kb)
-            ca, cb = ka.coeff.conj(), kb.coeff
-            # one pass of products: conj(c_i) x_i, c_j y_j, then per shared
-            # pair conj(c_i) c_j and x_i y_j
-            t_a, t_b = x.size, x.size + y.size
-            prod = _cmul(np.concatenate((ca, cb, ca[i], x[i])),
-                         np.concatenate((x, y, cb[j], y[j])))
-            rank_one = (complex(prod[:t_a].cumsum()[-1])
-                        * complex(prod[t_a:t_b].cumsum()[-1]))
-            parts.append([rank_one])
-            parts.append(_cmul(prod[t_b:t_b + i.size], g - prod[t_b + i.size:]))
-    return complex(np.concatenate(parts).cumsum()[-1])
+    parts = []
+    for _, _, sa, sb, _, _, corr in _class_pair_sums(a, b):
+        parts += [[complex(sa[-1]) * complex(sb[-1])], corr]
+    return _total(parts)
 
 
-def _self_product(a: ProductState) -> float:
-    """``<a|a>``, checked to be real and non-negative up to ``HERMITIAN_TOL``.
-
-    Within that tolerance a negative value is roundoff and comes back as 0.
-    """
-    x = inner_infinite(a, a)
+def _real_square(x: complex) -> float:
+    """A self product ``x``, checked to be real and non-negative up to
+    ``HERMITIAN_TOL``; within that tolerance a negative value is roundoff
+    and comes back as 0."""
     if abs(x.imag) > HERMITIAN_TOL:
         raise ArithmeticError(f"<a|a> has imaginary part {x.imag:.3g}")
     if x.real < -HERMITIAN_TOL:
         raise ArithmeticError(f"<a|a> is negative: {x.real:.3g}")
     return max(x.real, 0.0)
+
+
+def _self_product(a: ProductState) -> float:
+    """``<a|a>``, checked as `_real_square` checks it."""
+    return _real_square(inner_infinite(a, a))
+
+
+def _self_products(head: ProductState, a: ProductState) -> tuple[float, float]:
+    """``<head|head>`` and ``<a|a>`` for ``a = add(head, rest)``, from one
+    pass over the class pairs of ``a``; both checked as `_real_square` does.
+
+    Class ``m`` of ``a`` begins with the terms of class ``m`` of ``head``
+    (`add` keeps the classes of its first argument first, in order, and each
+    one's terms first). So each class pair of ``head`` is a class pair of
+    ``a`` cut to its leading terms: its rank-one factors are the term-order
+    sums of ``a`` at the last of them, and its shared pairs those of ``a``
+    with both terms among them. The two totals are summed in the order
+    `inner_infinite` sums each state, and carry its bits.
+    """
+    sizes = [c.coeff.size for c in head._classes]
+    parts_head, parts = [], []
+    for m, n, sa, sb, i, j, corr in _class_pair_sums(a, a):
+        parts += [[complex(sa[-1]) * complex(sb[-1])], corr]
+        if m < len(sizes) and n < len(sizes):
+            hm, hn = sizes[m], sizes[n]
+            parts_head += [[complex(sa[hm - 1]) * complex(sb[hn - 1])],
+                           corr[(i < hm) & (j < hn)]]
+    return _real_square(_total(parts_head)), _real_square(_total(parts))
 
 
 def norm(a: ProductState) -> float:

@@ -4,7 +4,9 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from freqop import product
 from freqop.frequency import (
+    FrequencyReport,
     FrequencySpec,
     apply_frequency,
     cauchy_gap,
@@ -17,6 +19,8 @@ from freqop.oracle import dense_deviation, dense_embed
 from freqop.product import (
     ProductState,
     ProductTerm,
+    _self_product,
+    _self_products,
     add,
     ensemble,
     inner_infinite,
@@ -135,6 +139,64 @@ def test_gram_route_relative_error_at_n_1e5():
         rep = deviation_norm(FrequencySpec(k, n), s, method="gram")
         closed_sq = (rep.p - rep.p * rep.p) / n
         assert abs(rep.deviation_exact**2 - closed_sq) <= GRAM_REL_DEV_SQ_AT_1E5 * closed_sq
+
+
+def _two_pass_report(spec, s):
+    # the gram report from two separate scalar products, <phi|phi> and
+    # <delta|delta>, with p and the closed form as every route computes them;
+    # the fused pair of squares, unrounded by a square root, comes with it
+    p = deviation_norm(spec, s, method="counted").p
+    psi = ensemble(s)
+    phi = apply_frequency(spec, psi)
+    delta = add(phi, scale(psi, -p))
+    applied_sq, dev_sq = _self_product(phi), _self_product(delta)
+    assert _self_products(phi, delta) == (applied_sq, dev_sq)
+    return FrequencyReport(
+        n_slots=spec.n_slots,
+        k=spec.k,
+        p=p,
+        deviation_exact=math.sqrt(dev_sq),
+        deviation_closed=math.sqrt(max(p - p * p, 0.0) / spec.n_slots),
+        applied_norm=math.sqrt(applied_sq),
+        method="gram",
+    )
+
+
+def test_gram_route_equals_two_separate_scalar_products(rng):
+    # both norms come from one pass over the class pair of delta; the applied
+    # norm must keep the bits of its own scalar product
+    for c, (d, n) in enumerate((d, n) for d in range(2, 7) for n in (1, 2, 7, 64, 512)):
+        basis = random_unitary(d, rng) if c % 3 == 0 else None
+        spec = FrequencySpec(int(rng.integers(d)), n, basis)
+        s = random_state(d, rng)
+        assert deviation_norm(spec, s, method="gram") == _two_pass_report(spec, s)
+    for d, n in ((2, 1), (3, 7), (5, 64)):
+        # p = 0: the applied state has no terms; p = 1: the deviation cancels
+        for s in (StateVector.basis(d, 1), StateVector.basis(d, 0)):
+            spec = FrequencySpec(0, n)
+            rep = deviation_norm(spec, s, method="gram")
+            assert rep == _two_pass_report(spec, s)
+            assert rep.p in (0.0, 1.0)
+            if rep.p == 0.0:
+                assert rep.applied_norm == 0.0
+
+
+def test_gram_route_joins_its_class_pair_once(rng, monkeypatch):
+    # one join for both norms: a second pass over the class pair would show
+    # here as a second call
+    calls = []
+    join = product._class_factors
+
+    def counted_join(ca, cb):
+        calls.append((ca, cb))
+        return join(ca, cb)
+
+    monkeypatch.setattr(product, "_class_factors", counted_join)
+    for spec, s in ((FrequencySpec(1, 64), random_state(3, rng)),
+                    (FrequencySpec(0, 8), StateVector.basis(2, 1))):
+        calls.clear()
+        deviation_norm(spec, s, method="gram")
+        assert len(calls) == 1
 
 
 def test_auto_method_switch(rng):

@@ -12,6 +12,8 @@ from freqop.oracle import dense_embed, dense_inner
 from freqop.product import (
     ProductState,
     ProductTerm,
+    _self_product,
+    _self_products,
     add,
     ensemble,
     inner_infinite,
@@ -200,6 +202,15 @@ def test_property_linearity_in_second_argument(a, b, c):
     lhs = inner_infinite(a, add(b, c))
     rhs = inner_infinite(a, b) + inner_infinite(a, c)
     npt.assert_allclose(lhs, rhs, atol=1e-8)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(product_states(), product_states())
+def test_property_fused_self_products_keep_the_bits(head, rest):
+    # <head|head> read off the pass over add(head, rest) is the same float as
+    # its own scalar product, whatever rest adds to head's classes
+    total = add(head, rest)
+    assert _self_products(head, total) == (_self_product(head), _self_product(total))
 
 
 def test_dead_tails_give_exact_zero_despite_huge_prefix():
