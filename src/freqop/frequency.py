@@ -19,12 +19,11 @@ from .hilbert import StateVector, UnitaryMatrix, _measurement_vector
 from .product import (
     TAIL_EPS,
     ProductState,
-    _class_factors,
-    _cmul,
-    _dot,
+    _class_pair_sums,
+    _frequency_image,
+    _one_edit_terms,
     _self_product,
     _self_products,
-    _with_slot,
     add,
     ensemble,
     inner_infinite,
@@ -92,30 +91,8 @@ def apply_frequency(spec: FrequencySpec, psi: ProductState) -> ProductState:
     Every term's edited slots must lie within the first N slots; the
     operator leaves all later slots untouched.
     """
-    d = psi.dim
-    n = spec.n_slots
-    kvec = _measurement_vector(spec.k, d, spec.basis)
-    out = []
-    for c in psi._classes:
-        # overlap[i, alpha - 1] = <k| slot alpha of term i>
-        overlap = np.full((c.coeff.size, n), _dot(kvec, c.tail))
-        if c.slots.size:
-            owner = np.arange(c.coeff.size).repeat(c.counts)  # the term of each edit
-            late = owner[c.slots > n]  # the terms of the edits past slot N
-            if late.size:
-                raise ValueError(
-                    f"term prefix length {c.slots[owner == late[0]].max()} "
-                    f"exceeds the operator's n_slots={n}"
-                )
-            overlap[owner, c.slots - 1] = _dot(kvec, c.vecs)
-        term, col = overlap.nonzero()  # term by term, slot by slot
-        if not term.size:
-            continue
-        coeff = _cmul(c.coeff[term], overlap[term, col])
-        parts = coeff.view(np.float64)
-        parts /= n  # each part on its own, as Python's complex / int rounds
-        out.append(_with_slot(c, term, col + 1, kvec, coeff))
-    return ProductState._of(out, d)
+    kvec = _measurement_vector(spec.k, psi.dim, spec.basis)
+    return _frequency_image(psi, kvec, spec.n_slots)
 
 
 def _slot_deviation(kvec: np.ndarray, s: StateVector) -> tuple[float, float]:
@@ -216,28 +193,23 @@ def cauchy_gap_grid(
     n_max: int,
     basis: UnitaryMatrix | None = None,
 ) -> np.ndarray:
-    """All squared gaps for ``1 <= m <= n <= n_max`` from one factorisation.
+    """All squared gaps for ``1 <= m <= n <= n_max`` from one class pair.
 
     Entry ``[m-1, n-1]`` holds the squared gap; entries below the diagonal
-    are NaN. The ``n_max`` projected terms are factorised once from actual
-    slot vectors (the same machinery as the gram method of `cauchy_gap`);
-    each (m, n) pair then recombines prefix sums of the factors, weighted
-    by the coefficients ``a/n - a/m`` up to slot m and ``a/n`` up to slot n.
+    are NaN. Term alpha of ``n_max`` has the measurement vector at slot
+    alpha alone, so it shares a slot with itself only. The class-pair kernel
+    of every gram scalar product joins these terms with themselves once and
+    gives the term-order prefix sums of both rank-one factors and of the
+    corrections; each (m, n) pair recombines them, weighted by the
+    coefficients ``a/n - a/m`` up to slot m and ``a/n`` up to slot n.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     kvec = _measurement_vector(k, s.dim, basis)
     a = complex(np.vdot(kvec, s.amps))
-    # term alpha edits slot alpha alone, with kvec
-    (c,) = ensemble(s)._classes
-    block = _with_slot(c, np.zeros(n_max, dtype=np.int64), np.arange(1, n_max + 1),
-                       kvec, np.ones(n_max, dtype=np.complex128))
-    x, y, (i, j, g) = _class_factors(block, block)
-    # each term edits its own slot, so only the diagonal pairs are exceptions;
-    # each adds its exact product minus its rank-one value
-    excess = np.zeros(n_max, dtype=np.complex128)
-    excess[i] = g - _cmul(x[i], y[j])
-    xs, ys, es = np.cumsum(x), np.cumsum(y), np.cumsum(excess)
+    block = _one_edit_terms(s, kvec, n_max)
+    ((_, _, xs, ys, _, _, corr),) = _class_pair_sums(block, block)
+    es = np.cumsum(corr)
     m = np.arange(1, n_max + 1)[:, None]
     n = m.T
     sx = a.conjugate() * (xs[n - 1] / n - xs[m - 1] / m)

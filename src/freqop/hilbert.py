@@ -42,6 +42,12 @@ def _as_complex_matrix(entries, what: str) -> np.ndarray:
     return m
 
 
+def _divide(a: np.ndarray, n: int) -> None:
+    """``a /= n`` part by part, as complex / int rounds: fl(j/N), not j * fl(1/N)."""
+    parts = a.view(np.float64)
+    parts /= n
+
+
 def _unit_amplitudes(a: np.ndarray, normalize: bool) -> np.ndarray:
     """A read-only copy of the finite amplitudes ``a``, checked for unit norm.
 
@@ -151,9 +157,9 @@ class Projector(HermitianOperator):
     @classmethod
     def onto_basis_state(cls, dim: int, index: int) -> "Projector":
         """Rank-one projector ``|index><index|`` in the standard basis."""
-        m = np.zeros((dim, dim), dtype=np.complex128)
         if not 0 <= index < dim:
             raise ValueError(f"basis index {index} out of range for dim {dim}")
+        m = np.zeros((dim, dim), dtype=np.complex128)
         m[index, index] = 1.0
         return cls(m)
 

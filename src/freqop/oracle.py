@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix, _measurement_vector
+from .hilbert import StateVector, UnitaryMatrix, _divide, _measurement_vector
 from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
@@ -112,12 +112,6 @@ def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
             v = np.kron(v, t.slot(alpha))
         out += t.coeff * v
     return DenseVector._adopt(state.dim, n_slots, out)
-
-
-def _divide(a: np.ndarray, n: int) -> None:
-    """``a /= n`` part by part: j/N rounds once, as fl(j/N), not as j * fl(1/N)."""
-    parts = a.view(np.float64)
-    parts /= n
 
 
 def _frequency_entries(

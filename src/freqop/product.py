@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .hilbert import HERMITIAN_TOL, NORM_TOL, StateVector, _as_complex_vector
+from .hilbert import HERMITIAN_TOL, NORM_TOL, StateVector, _as_complex_vector, _divide
 
 
 TAIL_EPS = 1e-12  # tails with |<tail_a|tail_b> - 1| <= TAIL_EPS count as equal
@@ -294,6 +294,39 @@ def ensemble(s: StateVector) -> ProductState:
                      np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64),
                      np.zeros((0, s.dim), dtype=np.complex128))
     return ProductState._of([one], s.dim)
+
+
+def _one_edit_terms(s: StateVector, v: np.ndarray, n: int) -> ProductState:
+    """``n`` terms of coefficient 1 over the tail ``s``: term alpha edits
+    slot alpha alone, with ``v``."""
+    (c,) = ensemble(s)._classes
+    block = _with_slot(c, np.zeros(n, dtype=np.int64), np.arange(1, n + 1), v,
+                       np.ones(n, dtype=np.complex128))
+    return ProductState._of([block], s.dim)
+
+
+def _frequency_image(psi: ProductState, kvec: np.ndarray, n: int) -> ProductState:
+    """`frequency.apply_frequency` of ``psi`` with ``kvec`` over ``n`` slots."""
+    out = []
+    for c in psi._classes:
+        # overlap[i, alpha - 1] = <k| slot alpha of term i>
+        overlap = np.full((c.coeff.size, n), _dot(kvec, c.tail))
+        if c.slots.size:
+            owner = np.arange(c.coeff.size).repeat(c.counts)  # the term of each edit
+            late = owner[c.slots > n]  # the terms of the edits past slot N
+            if late.size:
+                raise ValueError(
+                    f"term prefix length {c.slots[owner == late[0]].max()} "
+                    f"exceeds the operator's n_slots={n}"
+                )
+            overlap[owner, c.slots - 1] = _dot(kvec, c.vecs)
+        term, col = overlap.nonzero()  # term by term, slot by slot
+        if not term.size:
+            continue
+        coeff = _cmul(c.coeff[term], overlap[term, col])
+        _divide(coeff, n)
+        out.append(_with_slot(c, term, col + 1, kvec, coeff))
+    return ProductState._of(out, psi.dim)
 
 
 def add(a: ProductState, b: ProductState) -> ProductState:

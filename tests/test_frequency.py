@@ -182,8 +182,9 @@ def test_gram_route_equals_two_separate_scalar_products(rng):
 
 
 def test_gram_route_joins_its_class_pair_once(rng, monkeypatch):
-    # one join for both norms: a second pass over the class pair would show
-    # here as a second call
+    # one join per route, through product's class-pair kernel: a second pass
+    # over the class pair shows here as a second call, a join made outside
+    # the kernel as none
     calls = []
     join = product._class_factors
 
@@ -192,10 +193,13 @@ def test_gram_route_joins_its_class_pair_once(rng, monkeypatch):
         return join(ca, cb)
 
     monkeypatch.setattr(product, "_class_factors", counted_join)
-    for spec, s in ((FrequencySpec(1, 64), random_state(3, rng)),
-                    (FrequencySpec(0, 8), StateVector.basis(2, 1))):
+    for route in (
+        lambda: deviation_norm(FrequencySpec(1, 64), random_state(3, rng), method="gram"),
+        lambda: deviation_norm(FrequencySpec(0, 8), StateVector.basis(2, 1), method="gram"),
+        lambda: cauchy_gap_grid(1, random_state(3, rng), 16),
+    ):
         calls.clear()
-        deviation_norm(spec, s, method="gram")
+        route()
         assert len(calls) == 1
 
 
@@ -285,6 +289,10 @@ def test_cauchy_gap_input_validation(rng):
         cauchy_gap(0, 4, 2, s)
     with pytest.raises(ValueError):
         cauchy_gap(0, 0, 2, s)
+    with pytest.raises(ValueError, match="method"):
+        cauchy_gap(0, 1, 2, s, method="magic")
+    with pytest.raises(ValueError, match="n_max"):
+        cauchy_gap_grid(0, s, 0)
 
 
 def test_cauchy_grid_matches_single_calls(rng):
@@ -325,6 +333,8 @@ def test_cross_orthogonality_rejects_bad_sizes(rng):
     s2 = StateVector.basis(2, 1)
     with pytest.raises(ValueError):
         cross_orthogonality(0, 1, 2, s, s2)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        cross_orthogonality(0, 2, 1, s, StateVector.basis(3, 1))
 
 
 def test_completeness_on_product_states(rng):

@@ -73,6 +73,9 @@ def test_basis_states_orthonormal():
         for j in range(3):
             got = inner(StateVector.basis(3, i), StateVector.basis(3, j))
             assert got == (1.0 if i == j else 0.0)
+    for index in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            StateVector.basis(3, index)
 
 
 def test_inner_fixed_value():
@@ -96,16 +99,27 @@ def test_inner_dimension_mismatch():
 def test_hermitian_rejects_asymmetric():
     with pytest.raises(ValueError, match="Hermitian"):
         HermitianOperator([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="square"):
+        HermitianOperator([[1.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        HermitianOperator([[np.nan]])
 
 
 def test_projector_rejects_non_idempotent():
     with pytest.raises(ValueError, match="idempotent"):
         Projector([[2.0, 0.0], [0.0, 0.0]])
+    # the index is checked before the d x d matrix is allocated
+    with pytest.raises(ValueError, match="out of range"):
+        Projector.onto_basis_state(2**40, -1)
+    with pytest.raises(ValueError, match="out of range"):
+        Projector.onto_basis_state(2, 2)
 
 
 def test_unitary_rejects_non_unitary():
     with pytest.raises(ValueError, match="unitary"):
         UnitaryMatrix([[1.0, 0.0], [0.0, 2.0]])
+    with pytest.raises(ValueError, match="out of range"):
+        UnitaryMatrix(np.eye(2)).column(2)
 
 
 def test_eig_hermitian_fixed_matrix():
@@ -136,6 +150,9 @@ def test_evolve_spin_flip_quarter_turn():
 def test_evolve_zero_time_is_identity(rng):
     h = random_hermitian(4, rng)
     npt.assert_allclose(evolve(h, 0.0).entries, np.eye(4), atol=1e-14)
+    for dt in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            evolve(h, dt)
 
 
 def test_evolve_composes(rng):
@@ -152,6 +169,8 @@ def test_truth_value_trichotomy():
     assert truth_value(StateVector.basis(2, 1), p) is TruthValue.FALSE
     mixed = StateVector([INV_SQRT2, INV_SQRT2])
     assert truth_value(mixed, p) is TruthValue.INDEFINITE
+    with pytest.raises(ValueError, match="mismatch"):
+        truth_value(StateVector.basis(3, 0), p)
 
 
 def test_truth_value_on_superposition_inside_range(rng):
@@ -172,3 +191,6 @@ def test_random_unitary_is_unitary(rng):
 def test_random_projector_rank(rng):
     p = random_projector(5, 3, rng)
     npt.assert_allclose(np.trace(p.entries).real, 3.0, atol=1e-12)
+    for rank in (0, 6):
+        with pytest.raises(ValueError, match="rank"):
+            random_projector(5, rank, rng)

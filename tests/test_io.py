@@ -49,6 +49,8 @@ def test_state_from_dict_rejects_bad_shapes():
         io.state_from_dict({"dim": 1, "amps": [[1.0]]})
     with pytest.raises(ValueError, match="pair"):
         io.state_from_dict({"dim": 1, "amps": [[1.0, "x"]]})
+    with pytest.raises(ValueError, match="non-finite"):
+        io.state_from_dict({"dim": 1, "amps": [[math.nan, 0.0]]})
 
 
 def test_state_from_dict_norm_gate():

@@ -24,7 +24,14 @@ from freqop.oracle import (
     eigencheck_standard_basis,
     kron_power,
 )
-from freqop.product import ProductState, ProductTerm, _edited, add, inner_infinite
+from freqop.product import (
+    ProductState,
+    ProductTerm,
+    _edited,
+    _TailClass,
+    add,
+    inner_infinite,
+)
 
 
 def test_dense_vector_validation():
@@ -32,6 +39,10 @@ def test_dense_vector_validation():
         DenseVector(2, 2, [1.0, 0.0])
     with pytest.raises(ValueError, match="cap"):
         DenseVector(2, 21, np.zeros(2**21))
+    with pytest.raises(ValueError, match="d >= 1"):
+        DenseVector(0, 2, [])
+    with pytest.raises(ValueError, match="non-finite"):
+        DenseVector(2, 1, [np.nan, 0.0])
     assert DENSE_CAP == 2**20
 
 
@@ -382,3 +393,14 @@ def test_routes_are_independent_by_import():
     for module in ("frequency", "product", "sequential"):
         assert "oracle" not in _freqop_imports(module), module
     assert not _freqop_imports("oracle") & {"frequency", "sequential"}
+
+
+def test_only_product_reads_the_tail_class_record():
+    # frequency works on states through product's helpers: it imports none
+    # of the record-level ones and reads no record, field or constructor
+    tree = ast.parse(Path(oracle.__file__).with_name("frequency.py").read_text())
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not imported & {"_class_factors", "_with_slot", "_cmul", "_dot"}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not read & {"_classes", "_of", *_TailClass.__slots__}

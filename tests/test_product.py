@@ -12,6 +12,7 @@ from freqop.oracle import dense_embed, dense_inner
 from freqop.product import (
     ProductState,
     ProductTerm,
+    _real_square,
     _self_product,
     _self_products,
     add,
@@ -61,6 +62,12 @@ def test_slot_indexing():
 def test_empty_state_needs_dim():
     with pytest.raises(ValueError, match="dim"):
         ProductState([])
+    with pytest.raises(ValueError, match="positive"):
+        ProductState([], dim=0)
+    with pytest.raises(ValueError, match="one slot dimension"):
+        ProductState([term(1.0, (), E0), term(1.0, (), [1.0, 0.0, 0.0])])
+    with pytest.raises(ValueError, match="conflicts"):
+        ProductState([term(1.0, (), E0)], dim=3)
     z = ProductState([], dim=2)
     assert z.dim == 2
     assert norm(z) == 0.0
@@ -154,6 +161,12 @@ def test_add_and_scale_are_linear():
 def test_norm_is_real_nonnegative():
     a = add(one_term_state(1.0, (E0,), E0), one_term_state(-1.0, (E0,), E0))
     assert norm(a) == 0.0
+    # within HERMITIAN_TOL a negative self product is roundoff; beyond it, a fault
+    assert _real_square(complex(-1e-12, 1e-12)) == 0.0
+    with pytest.raises(ArithmeticError, match="imaginary"):
+        _real_square(complex(1.0, 1e-9))
+    with pytest.raises(ArithmeticError, match="negative"):
+        _real_square(complex(-1e-9, 0.0))
 
 
 # ---------------------------------------------------------------------------

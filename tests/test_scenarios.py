@@ -35,6 +35,8 @@ def test_bipartite_validation():
         BipartiteState([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="finite"):
         BipartiteState([[np.inf, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="2-D"):
+        BipartiteState([1.0, 0.0])
     s = BipartiteState([[1.0, 1.0], [0.0, 0.0]], normalize=True)
     npt.assert_allclose(np.linalg.norm(s.amps), 1.0, atol=1e-15)
 

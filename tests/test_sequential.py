@@ -25,6 +25,9 @@ def test_spec_validation():
         SequentialSpec(X, 0.1, 0, 1, 0)
     with pytest.raises(ValueError):
         SequentialSpec(X, math.inf, 0, 1, 5)
+    for m in (-1, 2):
+        with pytest.raises(ValueError, match="out of range"):
+            succession_probabilities(X, 0.1, m)
 
 
 def test_quarter_turn_succession_weight():
