@@ -202,7 +202,8 @@ def main():
 def converge(s, basis, k, ns, tolerance, fmt):
     """Deviation-identity table over ensemble sizes.
 
-    Example: freqop converge --amps "0.70710678,0;0.70710678,0" --k 0
+    \b
+    Example: freqop converge --amps "0.70710678118654752,0;0.70710678118654752,0" --k 0
 
     One row per ensemble size N: the measured deviation of the frequency
     image from p times the ensemble, the closed form sqrt((p-p^2)/N), and

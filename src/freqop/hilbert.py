@@ -12,6 +12,7 @@ import numpy as np
 
 # Absolute tolerances used by constructors and predicates throughout.
 NORM_TOL = 1e-9       # unit-norm / unitarity deviation
+UNIT_EPS = 1e-13      # an accepted vector with |norm^2 - 1| beyond this is rescaled
 HERMITIAN_TOL = 1e-10  # hermiticity / idempotence deviation
 EIG_TOL = 1e-9        # eigendecomposition reconstruction residual
 
@@ -48,12 +49,15 @@ def _divide(a: np.ndarray, n: int) -> None:
     parts /= n
 
 
-def _unit_amplitudes(a: np.ndarray, normalize: bool) -> np.ndarray:
+def _unit_amplitudes(a: np.ndarray, normalize: bool, what: str = "state") -> np.ndarray:
     """A read-only copy of the finite amplitudes ``a``, checked for unit norm.
 
     With ``normalize`` the copy is rescaled to unit norm instead. A norm that
     overflows is taken again after dividing by the largest component, so huge
-    but finite amplitudes still normalize.
+    but finite amplitudes still normalize. A norm accepted within
+    ``NORM_TOL`` whose square is more than ``UNIT_EPS`` from 1 is rescaled
+    too: a tail must match itself within ``product.TAIL_EPS``, and a ten-digit
+    ``sqrt(1/2)`` would not.
     """
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(a))
@@ -65,7 +69,9 @@ def _unit_amplitudes(a: np.ndarray, normalize: bool) -> np.ndarray:
             raise ValueError("cannot normalize a near-zero vector")
         a = a / n
     elif abs(n - 1.0) > NORM_TOL:
-        raise ValueError(f"state norm {n:.12g} deviates from 1 beyond {NORM_TOL}")
+        raise ValueError(f"{what} norm {n:.12g} deviates from 1 beyond {NORM_TOL}")
+    elif abs(n * n - 1.0) > UNIT_EPS:
+        a = a / n
     a = a.copy()
     a.setflags(write=False)
     return a

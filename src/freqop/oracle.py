@@ -19,6 +19,7 @@ from .product import ProductState
 DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
 EIGEN_COLUMNS = 2**10  # columns per eigencheck slice, so its memory does not grow with d**N
+APPLY_TILE = 2**14   # most amplitudes per cache tile of the dense apply and power (256 KiB)
 
 
 def _dense_size(d: int, n_slots: int) -> int:
@@ -85,12 +86,25 @@ def dense_inner(a: DenseVector, b: DenseVector) -> complex:
 
 
 def kron_power(s: StateVector, n_slots: int) -> DenseVector:
-    """``|s>`` on every one of ``n_slots`` slots, expanded densely."""
-    _dense_size(s.dim, n_slots)
+    """``|s>`` on every one of ``n_slots`` slots, expanded densely.
+
+    Each power is the last one times each amplitude, written into its
+    strided column of a fresh array ``APPLY_TILE`` rows at a time, so the d
+    columns of a block are filled while it is in cache: the products of
+    ``np.kron``, bit for bit, without its per-row inner loops.
+    """
+    d = s.dim
+    _dense_size(d, n_slots)
     v = s.amps
     for _ in range(n_slots - 1):
-        v = np.kron(v, s.amps)
-    return DenseVector._adopt(s.dim, n_slots, v)
+        w = np.empty(v.size * d, dtype=np.complex128)
+        cols = w.reshape(v.size, d)
+        for start in range(0, v.size, APPLY_TILE):
+            block = slice(start, start + APPLY_TILE)
+            for c in range(d):
+                np.multiply(v[block], s.amps[c], out=cols[block, c])
+        v = w
+    return DenseVector._adopt(d, n_slots, v)
 
 
 def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
@@ -137,32 +151,59 @@ def dense_apply_frequency(
     """Apply the N-slot frequency-of-outcome-``k`` operator to ``v``.
 
     The operator is the mean over slots of the rank-one projector onto the
-    ``k``-th measurement vector acting on that slot alone. Slot alpha is
-    walked in place through the view ``(d**alpha, d, rest)``; indices where
-    the measurement vector is exactly zero are skipped, since the projector
-    is zero there (in the standard basis only index ``k`` is touched).
+    ``k``-th measurement vector acting on that slot alone. The output is
+    built one tile at a time: a tile is the ``d**m`` contiguous amplitudes
+    that share their leading N - m digits, ``d**m`` being the largest power
+    of d at most ``APPLY_TILE``, so every slot acts on a tile while it is in
+    cache. At a leading slot the tile's digit c is fixed, and the tile gains
+    ``kvec[c]`` times the sum over i of ``conj(kvec[i])`` times the tile
+    whose digit is i. A trailing slot alpha is walked in place through the
+    tile's view ``(d**(alpha - N + m), d, rest)``. Indices where the
+    measurement vector is exactly zero are skipped, in the sum and in the
+    output, since the projector is zero there (in the standard basis only
+    index ``k`` is touched). Every entry gets the same products, added in
+    the same slot order, whatever the tile size, so the bits do not depend
+    on ``APPLY_TILE``; no BLAS routine is called.
     """
     d, n = v.d, v.n_slots
     kvec = _measurement_vector(k, d, basis)
     kc = kvec.conj()
     first, *rest = np.flatnonzero(kvec)
-    t = v.amps
-    out = np.zeros_like(t)
-    # the projected amplitudes and a product scratch, reused at every slot
-    amp = np.empty(t.size // d, dtype=t.dtype)
+    m = 0
+    while m < n and d ** (m + 1) <= APPLY_TILE:
+        m += 1
+    high, size = n - m, d**m
+    tiles = v.amps.reshape(-1, size)
+    out = np.zeros_like(v.amps)
+    # the projected amplitudes and a product scratch, reused at every slot;
+    # a trailing slot uses their first size / d entries
+    amp = np.empty(size, dtype=out.dtype)
     term = np.empty_like(amp)
-    for alpha in range(n):
-        outer, inner = d**alpha, d ** (n - alpha - 1)
-        tv, ov = t.reshape(outer, d, inner), out.reshape(outer, d, inner)
-        a, w = amp.reshape(outer, inner), term.reshape(outer, inner)
-        np.multiply(tv[:, first, :], kc[first], out=a)
-        for i in rest:
-            np.multiply(tv[:, i, :], kc[i], out=w)
-            a += w
-        for i in (first, *rest):
-            np.multiply(a, kvec[i], out=w)
-            ov[:, i, :] += w
-    del amp, term, a, w  # free the slot buffers before the output's check
+    amp_low, term_low = amp[: size // d], term[: size // d]
+    for b, (t, o) in enumerate(zip(tiles, out.reshape(-1, size))):
+        for alpha in range(high):
+            place = d ** (high - alpha - 1)
+            c = b // place % d
+            if kvec[c] == 0:
+                continue
+            base = b - c * place
+            np.multiply(tiles[base + first * place], kc[first], out=amp)
+            for i in rest:
+                np.multiply(tiles[base + i * place], kc[i], out=term)
+                amp += term
+            np.multiply(amp, kvec[c], out=term)
+            o += term
+        for alpha in range(m):
+            outer, inner = d**alpha, d ** (m - alpha - 1)
+            tv, ov = t.reshape(outer, d, inner), o.reshape(outer, d, inner)
+            a, w = amp_low.reshape(outer, inner), term_low.reshape(outer, inner)
+            np.multiply(tv[:, first, :], kc[first], out=a)
+            for i in rest:
+                np.multiply(tv[:, i, :], kc[i], out=w)
+                a += w
+            for i in (first, *rest):
+                np.multiply(a, kvec[i], out=w)
+                ov[:, i, :] += w
     _divide(out, n)
     return DenseVector._adopt(d, n, out)
 

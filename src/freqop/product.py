@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .hilbert import HERMITIAN_TOL, NORM_TOL, StateVector, _as_complex_vector, _divide
+from .hilbert import HERMITIAN_TOL, StateVector, _as_complex_vector, _divide, _unit_amplitudes
 
 
 TAIL_EPS = 1e-12  # tails with |<tail_a|tail_b> - 1| <= TAIL_EPS count as equal
@@ -154,7 +154,8 @@ class ProductTerm:
 
     Slot ``i`` of ``prefix`` edits position ``i`` (1-based). Edited slots may
     have any norm (projections happen in place there); the tail must be a
-    unit vector, since it repeats forever.
+    unit vector, since it repeats forever, and is checked and rescaled as a
+    ``StateVector``'s amplitudes are.
     """
 
     __slots__ = ("_coeff", "_slots", "_vecs", "_tail")
@@ -163,10 +164,7 @@ class ProductTerm:
         c = complex(coeff)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("coeff must be finite")
-        tail_arr = _slot_array(tail, "tail")
-        n = float(np.linalg.norm(tail_arr))
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"tail norm {n:.12g} deviates from 1 beyond {NORM_TOL}")
+        tail_arr = _unit_amplitudes(_slot_array(tail, "tail"), False, "tail")
         d = tail_arr.size
         vecs = []
         for alpha, s in enumerate(prefix, start=1):

@@ -2,6 +2,7 @@ import csv
 import io as _io
 import json
 import math
+import shlex
 import subprocess
 import sys
 import time
@@ -334,6 +335,19 @@ def test_internal_error_exits_3(runner, monkeypatch):
     assert result.exit_code == 3
     assert result.stdout == ""
     assert "RuntimeError: internal fault" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "command", ["converge", "spectrum", "epr", "wigner", "sample", "verify-all"]
+)
+def test_help_example_runs(runner, command):
+    # the example a user copies out of --help is accepted and passes
+    help_text = runner.invoke(main, [command, "--help"]).stdout
+    line = next(ln for ln in help_text.splitlines() if "Example: freqop " in ln)
+    args = shlex.split(line.split("Example: freqop ", 1)[1])
+    assert args[0] == command
+    result = runner.invoke(main, args)
+    assert result.exit_code == 0, result.output
 
 
 def test_module_entry_point():

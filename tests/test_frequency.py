@@ -3,9 +3,12 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freqop import product
 from freqop.frequency import (
+    GRAM_LIMIT,
     FrequencyReport,
     FrequencySpec,
     apply_frequency,
@@ -14,7 +17,7 @@ from freqop.frequency import (
     cross_orthogonality,
     deviation_norm,
 )
-from freqop.hilbert import StateVector, random_state, random_unitary
+from freqop.hilbert import NORM_TOL, StateVector, random_state, random_unitary
 from freqop.oracle import dense_deviation, dense_embed
 from freqop.product import (
     ProductState,
@@ -113,6 +116,41 @@ def test_gram_and_counted_routes_agree_at_crossover(rng):
     c = deviation_norm(FrequencySpec(2, 512), s, method="counted")
     assert abs(g.deviation_exact**2 - c.deviation_exact**2) <= 1e-12
     assert abs(g.applied_norm**2 - c.applied_norm**2) <= 1e-12
+
+
+def _routes_agree(s, k, n):
+    g = deviation_norm(FrequencySpec(k, n), s, method="gram")
+    c = deviation_norm(FrequencySpec(k, n), s, method="counted")
+    assert abs(g.deviation_exact**2 - c.deviation_exact**2) <= 1e-12
+    assert abs(g.applied_norm**2 - c.applied_norm**2) <= 1e-12
+    return g, c
+
+
+def test_ten_digit_root_half_takes_the_same_value_on_every_route():
+    # its squared norm is 1 + 2.5e-11, which the tail rule would not match
+    # with itself at TAIL_EPS: every gram product read 0 before the rescale
+    s = StateVector([0.7071067812, 0.7071067812])
+    for n in (64, 1000):
+        g, _ = _routes_agree(s, 0, n)
+        closed_sq = (g.p - g.p * g.p) / n
+        assert abs(g.deviation_exact**2 - closed_sq) <= 1e-12 * closed_sq
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.integers(2, 5).flatmap(lambda d: st.lists(
+        st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=d, max_size=d)),
+    st.floats(-0.99 * NORM_TOL, 0.99 * NORM_TOL),
+    st.integers(0, 4),
+    st.sampled_from([1, 64, GRAM_LIMIT, GRAM_LIMIT + 1, 4 * GRAM_LIMIT]),
+)
+def test_property_routes_agree_across_the_norm_window(parts, off, k, n):
+    # any norm StateVector accepts, on both sides of GRAM_LIMIT
+    a = np.array([complex(x, y) for x, y in parts])
+    size = np.linalg.norm(a)
+    assume(size > 0.1)
+    s = StateVector(a / size * (1.0 + off))
+    _routes_agree(s, k % s.dim, n)
 
 
 def test_gram_route_at_large_n(rng):

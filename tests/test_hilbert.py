@@ -6,6 +6,7 @@ import pytest
 
 from freqop.hilbert import (
     EIG_TOL,
+    UNIT_EPS,
     HermitianOperator,
     Projector,
     StateVector,
@@ -33,6 +34,16 @@ def test_state_vector_accepts_unit_norm():
 def test_state_vector_rejects_bad_norm():
     with pytest.raises(ValueError, match="norm"):
         StateVector([1.0, 1.0])
+
+
+def test_accepted_norms_are_rescaled_past_unit_eps():
+    # a ten-digit sqrt(1/2) is accepted at NORM_TOL with |norm^2 - 1| = 2.5e-11;
+    # amplitudes already within UNIT_EPS of unit keep their bits
+    s = StateVector([0.7071067812, 0.7071067812])
+    assert abs(np.vdot(s.amps, s.amps).real - 1.0) <= UNIT_EPS
+    assert s.amps[0] != 0.7071067812
+    for amps in ([0.6, 0.8], [INV_SQRT2, INV_SQRT2], [0.6, 0.8j]):
+        assert StateVector(amps).amps.tobytes() == np.array(amps, dtype=complex).tobytes()
 
 
 def test_state_vector_normalize_flag():

@@ -136,35 +136,41 @@ def test_eigencheck_multiplicities_larger_case():
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (2, 5), (4, 2)])
-def test_matrix_columns_are_the_action_on_basis_vectors(d, n, rng):
+def test_matrix_columns_are_the_action_on_basis_vectors(d, n, rng, monkeypatch):
     # the matrix is read off the operator's definition entry by entry, the
-    # action applies it slot by slot: two independent computations
+    # action applies it slot by slot: two independent computations; tiles
+    # of d amplitudes put every slot but the last in the cross-tile walk
     size = d**n
     u = random_unitary(d, rng)
-    for k in range(d):
-        m = dense_frequency_matrix(k, n, d)
-        mu = dense_frequency_matrix(k, n, d, basis=u)
-        for j in range(size):
-            e = DenseVector(d, n, np.eye(size)[j])
-            assert m[:, j].tobytes() == dense_apply_frequency(k, e).amps.tobytes()
-            rotated = dense_apply_frequency(k, e, u).amps
-            npt.assert_allclose(mu[:, j], rotated, rtol=0, atol=1e-15)
+    for tile in (oracle.APPLY_TILE, d):
+        monkeypatch.setattr(oracle, "APPLY_TILE", tile)
+        for k in range(d):
+            m = dense_frequency_matrix(k, n, d)
+            mu = dense_frequency_matrix(k, n, d, basis=u)
+            for j in range(size):
+                e = DenseVector(d, n, np.eye(size)[j])
+                assert m[:, j].tobytes() == dense_apply_frequency(k, e).amps.tobytes()
+                rotated = dense_apply_frequency(k, e, u).amps
+                npt.assert_allclose(mu[:, j], rotated, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("d, n", [(2, 3), (3, 2), (2, 5), (4, 2), (3, 4)])
-def test_permutation_basis_columns_are_the_action_bit_for_bit(d, n, rng):
+def test_permutation_basis_columns_are_the_action_bit_for_bit(d, n, rng, monkeypatch):
     # a permuted measurement vector is exact, and its one live index is not
-    # always k: the action must skip the other indices without moving a bit
+    # always k: the action must skip the other indices without moving a bit,
+    # in a tile's own slots and across tiles alike
     perm = rng.permutation(d)
     while np.all(perm == np.arange(d)):
         perm = rng.permutation(d)
     basis = UnitaryMatrix(np.eye(d)[:, perm])
     size = d**n
-    for k in range(d):
-        m = dense_frequency_matrix(k, n, d, basis=basis)
-        for j in range(size):
-            e = DenseVector(d, n, np.eye(size)[j])
-            assert m[:, j].tobytes() == dense_apply_frequency(k, e, basis).amps.tobytes()
+    for tile in (oracle.APPLY_TILE, d):
+        monkeypatch.setattr(oracle, "APPLY_TILE", tile)
+        for k in range(d):
+            m = dense_frequency_matrix(k, n, d, basis=basis)
+            for j in range(size):
+                e = DenseVector(d, n, np.eye(size)[j])
+                assert m[:, j].tobytes() == dense_apply_frequency(k, e, basis).amps.tobytes()
 
 
 @pytest.mark.parametrize("d, n", [(2, 20), (4, 10), (3, 12)])
@@ -199,6 +205,29 @@ def test_eigencheck_does_not_depend_on_the_slice_size(monkeypatch):
     for (eigs, worst), (eigs7, worst7) in zip(whole, sliced):
         assert eigs7.tobytes() == eigs.tobytes()
         assert worst7 == worst
+
+
+def test_dense_apply_does_not_depend_on_the_tile_size(rng, monkeypatch):
+    # one tile of d**N amplitudes walks every slot in place; smaller tiles
+    # reach the leading slots across tiles, down to one amplitude a tile
+    cases = []
+    for d, n in ((2, 5), (3, 4), (5, 3)):
+        perm = UnitaryMatrix(np.eye(d)[:, np.roll(np.arange(d), 1)])
+        for basis in (None, perm, random_unitary(d, rng)):
+            a = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+            cases.append((d, n, DenseVector(d, n, a), basis))
+    assert all(d**n <= oracle.APPLY_TILE for d, n, _, _ in cases)
+    whole = [
+        dense_apply_frequency(k, v, basis).amps.tobytes()
+        for d, n, v, basis in cases for k in range(d)
+    ]
+    for tile in (1, 2, 3, 4, 5, 9, 25, 32, 81, 125, DENSE_CAP):
+        monkeypatch.setattr(oracle, "APPLY_TILE", tile)
+        tiled = [
+            dense_apply_frequency(k, v, basis).amps.tobytes()
+            for d, n, v, basis in cases for k in range(d)
+        ]
+        assert tiled == whole, tile
 
 
 def test_eigencheck_memory_does_not_grow_with_the_operator():
@@ -262,11 +291,12 @@ def _traced_peak(f):
 
 
 def test_dense_results_are_not_copied():
-    # at 2**20 amplitudes a result is 16 MiB: the apply adds its two 8 MiB
-    # slot buffers, the Kronecker power the 8 MiB vector one slot short
+    # at 2**20 amplitudes a result is 16 MiB: the apply adds two tile-sized
+    # buffers and the 1 MiB finiteness mask of its check, the Kronecker
+    # power the 8 MiB vector one slot short
     s = StateVector([0.6, 0.8])
     v = kron_power(s, 20)
-    assert _traced_peak(lambda: dense_apply_frequency(0, v)) <= 33 * 2**20
+    assert _traced_peak(lambda: dense_apply_frequency(0, v)) <= 18 * 2**20
     assert _traced_peak(lambda: kron_power(s, 20)) <= 25 * 2**20
 
 

@@ -49,6 +49,15 @@ def test_term_validation():
     assert t.prefix_len == 2
 
 
+def test_accepted_tail_matches_itself():
+    # accepted at NORM_TOL and rescaled as a state is, so the tail rule at
+    # TAIL_EPS keeps the term's pair with itself
+    raw = [0.7071067812, 0.7071067812]
+    t = term(1.0, (), raw)
+    assert t.tail.tobytes() == StateVector(raw).amps.tobytes()
+    assert abs(inner_infinite(ProductState([t]), ProductState([t])) - 1.0) <= 1e-15
+
+
 def test_slot_indexing():
     t = term(1.0, (E1, DIAG), E0)
     npt.assert_array_equal(t.slot(1), E1)
