@@ -10,6 +10,7 @@ a real cross-check. Capped at ``d**N <= 2**20`` amplitudes.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -20,6 +21,7 @@ DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
 EIGEN_COLUMNS = 2**10  # columns per eigencheck slice, so its memory does not grow with d**N
 APPLY_TILE = 2**14   # most amplitudes per cache tile of the dense apply and power (256 KiB)
+_PAIRWISE_BLOCK = 128  # numpy sums at most this many parts without a pairwise split
 
 
 def _dense_size(d: int, n_slots: int) -> int:
@@ -34,6 +36,11 @@ def _dense_size(d: int, n_slots: int) -> int:
     if size > DENSE_CAP:
         raise ValueError(f"d**n_slots = {d}**{n_slots} exceeds the dense cap {DENSE_CAP}")
     return size
+
+
+def _require_finite(a: np.ndarray) -> None:
+    if not np.all(np.isfinite(a)):
+        raise ValueError("amplitudes contain non-finite entries")
 
 
 class DenseVector:
@@ -56,8 +63,7 @@ class DenseVector:
         size = _dense_size(d, n_slots)
         if a.shape != (size,):
             raise ValueError(f"expected {size} amplitudes, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("amplitudes contain non-finite entries")
+        _require_finite(a)
         a.setflags(write=False)
         self._d = d
         self._n_slots = n_slots
@@ -88,23 +94,36 @@ def dense_inner(a: DenseVector, b: DenseVector) -> complex:
 def kron_power(s: StateVector, n_slots: int) -> DenseVector:
     """``|s>`` on every one of ``n_slots`` slots, expanded densely.
 
-    Each power is the last one times each amplitude, written into its
-    strided column of a fresh array ``APPLY_TILE`` rows at a time, so the d
-    columns of a block are filled while it is in cache: the products of
-    ``np.kron``, bit for bit, without its per-row inner loops.
+    Every power is built in the one array of ``d**N`` amplitudes: power j
+    sits at its end, and power j + 1 is written over it from the front of
+    its last ``d**(j+1)`` entries, as the last power times each amplitude
+    in d strided columns, ``APPLY_TILE`` rows at a time, so the d columns
+    of a block are filled while it is in cache. Row r ends no later than
+    where row r + 1 of power j starts, so no amplitude is overwritten before
+    it is read; a block that overlaps its own rows reads them from a copy.
+    These are the products of ``np.kron``, bit for bit, with no array per
+    power.
     """
     d = s.dim
-    _dense_size(d, n_slots)
-    v = s.amps
-    for _ in range(n_slots - 1):
-        w = np.empty(v.size * d, dtype=np.complex128)
-        cols = w.reshape(v.size, d)
-        for start in range(0, v.size, APPLY_TILE):
-            block = slice(start, start + APPLY_TILE)
+    size = _dense_size(d, n_slots)
+    out = np.empty(size, dtype=np.complex128)
+    out[size - d :] = s.amps
+    spare = np.empty(min(APPLY_TILE, size // d), dtype=out.dtype)
+    for j in range(1, n_slots):
+        rows = d**j
+        v = out[size - rows :]
+        cols = out[size - rows * d :].reshape(rows, d)
+        for start in range(0, rows, APPLY_TILE):
+            stop = min(start + APPLY_TILE, rows)
+            src = v[start:stop]
+            # the block writes up to entry size - (rows - stop) * d; past
+            # size - rows + start, where its own rows sit, it reads a copy
+            if stop * d - start > rows * (d - 1):
+                src = spare[: stop - start]
+                src[...] = v[start:stop]
             for c in range(d):
-                np.multiply(v[block], s.amps[c], out=cols[block, c])
-        v = w
-    return DenseVector._adopt(d, n_slots, v)
+                np.multiply(src, s.amps[c], out=cols[start:stop, c])
+    return DenseVector._adopt(d, n_slots, out)
 
 
 def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
@@ -145,14 +164,14 @@ def _frequency_entries(
     return rows, kvec * kvec.conj()[digits]
 
 
-def dense_apply_frequency(
-    k: int, v: DenseVector, basis: UnitaryMatrix | None = None
-) -> DenseVector:
-    """Apply the N-slot frequency-of-outcome-``k`` operator to ``v``.
+def _frequency_tiles(
+    kvec: np.ndarray, v: DenseVector
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Each tile of ``f v`` in order, with its place in the vector.
 
-    The operator is the mean over slots of the rank-one projector onto the
-    ``k``-th measurement vector acting on that slot alone. The output is
-    built one tile at a time: a tile is the ``d**m`` contiguous amplitudes
+    ``f`` is the N-slot frequency operator of the measurement vector
+    ``kvec``: the mean over slots of the rank-one projector onto ``kvec``
+    acting on that slot alone. A tile is the ``d**m`` contiguous amplitudes
     that share their leading N - m digits, ``d**m`` being the largest power
     of d at most ``APPLY_TILE``, so every slot acts on a tile while it is in
     cache. At a leading slot the tile's digit c is fixed, and the tile gains
@@ -163,10 +182,10 @@ def dense_apply_frequency(
     output, since the projector is zero there (in the standard basis only
     index ``k`` is touched). Every entry gets the same products, added in
     the same slot order, whatever the tile size, so the bits do not depend
-    on ``APPLY_TILE``; no BLAS routine is called.
+    on ``APPLY_TILE``; no BLAS routine is called. Each tile is yielded
+    divided by N, in one buffer that the next tile overwrites.
     """
     d, n = v.d, v.n_slots
-    kvec = _measurement_vector(k, d, basis)
     kc = kvec.conj()
     first, *rest = np.flatnonzero(kvec)
     m = 0
@@ -174,13 +193,15 @@ def dense_apply_frequency(
         m += 1
     high, size = n - m, d**m
     tiles = v.amps.reshape(-1, size)
-    out = np.zeros_like(v.amps)
-    # the projected amplitudes and a product scratch, reused at every slot;
-    # a trailing slot uses their first size / d entries
-    amp = np.empty(size, dtype=out.dtype)
-    term = np.empty_like(amp)
+    # the output tile, the projected amplitudes and a product scratch, reused
+    # at every tile; a trailing slot uses the first size / d entries of the
+    # last two
+    o = np.empty(size, dtype=v.amps.dtype)
+    amp = np.empty_like(o)
+    term = np.empty_like(o)
     amp_low, term_low = amp[: size // d], term[: size // d]
-    for b, (t, o) in enumerate(zip(tiles, out.reshape(-1, size))):
+    for b, t in enumerate(tiles):
+        o.fill(0)
         for alpha in range(high):
             place = d ** (high - alpha - 1)
             c = b // place % d
@@ -204,8 +225,23 @@ def dense_apply_frequency(
             for i in (first, *rest):
                 np.multiply(a, kvec[i], out=w)
                 ov[:, i, :] += w
-    _divide(out, n)
-    return DenseVector._adopt(d, n, out)
+        _divide(o, n)
+        yield slice(b * size, (b + 1) * size), o
+
+
+def dense_apply_frequency(
+    k: int, v: DenseVector, basis: UnitaryMatrix | None = None
+) -> DenseVector:
+    """Apply the N-slot frequency-of-outcome-``k`` operator to ``v``.
+
+    The operator is the mean over slots of the rank-one projector onto the
+    ``k``-th measurement vector acting on that slot alone; it is applied
+    one cache-sized tile at a time (see ``_frequency_tiles``).
+    """
+    out = np.empty_like(v.amps)
+    for block, o in _frequency_tiles(_measurement_vector(k, v.d, basis), v):
+        out[block] = o
+    return DenseVector._adopt(v.d, v.n_slots, out)
 
 
 def dense_frequency_matrix(
@@ -263,22 +299,79 @@ def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray,
         _divide(off, n_slots)
         residuals = np.linalg.norm(np.column_stack([off, diag.imag]), axis=1)
         eigs[cols] = diag.real
-        worst = max(worst, float(np.max(residuals)))
+        # np.maximum, unlike max, keeps a NaN residual as the worst
+        worst = float(np.maximum(worst, np.max(residuals)))
     return eigs, worst
+
+
+def _pairwise_sum(runs: Iterable[np.ndarray], n: int) -> float:
+    """numpy's pairwise sum of ``n`` floats that arrive as consecutive runs.
+
+    ``np.sum`` of a contiguous float64 array of more than
+    ``_PAIRWISE_BLOCK`` parts adds the sum of its first ``n // 2`` parts,
+    rounded down to a multiple of 8, to the sum of the rest; a shorter
+    array it sums with eight running sums. Where a part of that split lies
+    inside one run, numpy sums it on the run, as it depends only on the
+    length; a part that crosses the end of a run is split here, or, when
+    short, gathered from the runs it spans and summed by numpy. The bits
+    are those of ``np.sum`` over the whole array. Each run is read before
+    the next is drawn, so the runs may share one buffer.
+    """
+    runs = iter(runs)
+    run, lo = next(runs), 0  # the current run and the index of its first part
+    gathered = np.empty(_PAIRWISE_BLOCK)
+
+    def seek(start: int) -> None:
+        nonlocal run, lo
+        while start >= lo + run.size:
+            lo += run.size
+            run = next(runs)
+
+    def part(start: int, length: int) -> np.float64:
+        seek(start)
+        if start + length <= lo + run.size:
+            return run[start - lo : start + length - lo].sum()
+        if length > _PAIRWISE_BLOCK:
+            half = length // 2
+            half -= half % 8
+            return part(start, half) + part(start + half, length - half)
+        buf = gathered[:length]
+        at = start
+        while at < start + length:
+            seek(at)
+            take = min(start + length, lo + run.size) - at
+            buf[at - start : at - start + take] = run[at - lo : at - lo + take]
+            at += take
+        return buf.sum()
+
+    return float(part(0, n))
 
 
 def dense_deviation(
     s: StateVector, k: int, n_slots: int, basis: UnitaryMatrix | None = None
 ) -> float:
-    """``|| (f - p) |s>^N ||`` computed entirely in the dense representation."""
+    """``|| (f - p) |s>^N ||`` computed entirely in the dense representation.
+
+    ``|s>^N`` is the only array of ``d**N`` amplitudes. Each tile of
+    ``f |s>^N`` is checked finite, has ``p`` times its tile of ``|s>^N``
+    subtracted and is squared in place while it is in cache, and the squared
+    parts are summed in numpy's pairwise split over the whole vector
+    (``_pairwise_sum``): the bits of ``np.sum`` over all ``2 d**N`` parts,
+    with no BLAS reduction, whose bits would depend on the thread count.
+    """
     kvec = _measurement_vector(k, s.dim, basis)
     p = abs(complex(np.vdot(kvec, s.amps))) ** 2
     v = kron_power(s, n_slots)
-    w = dense_apply_frequency(k, v, basis)
-    # squared in place and summed pairwise: no BLAS reduction, whose bits
-    # would depend on the thread count, and no further 16 MB temporary
-    diff = p * v.amps
-    np.subtract(w.amps, diff, out=diff)
-    sq = diff.view(np.float64)
-    np.multiply(sq, sq, out=sq)
-    return math.sqrt(sq.sum())
+    scratch = np.empty(min(APPLY_TILE, v.amps.size), dtype=v.amps.dtype)
+
+    def squares() -> Iterator[np.ndarray]:
+        for block, o in _frequency_tiles(kvec, v):
+            _require_finite(o)
+            diff = scratch[: o.size]
+            np.multiply(v.amps[block], p, out=diff)
+            np.subtract(o, diff, out=diff)
+            sq = diff.view(np.float64)
+            np.multiply(sq, sq, out=sq)
+            yield sq
+
+    return math.sqrt(_pairwise_sum(squares(), 2 * v.amps.size))

@@ -11,7 +11,13 @@ from hypothesis import strategies as st
 
 from freqop import oracle
 from freqop.frequency import FrequencySpec, apply_frequency
-from freqop.hilbert import StateVector, UnitaryMatrix, random_state, random_unitary
+from freqop.hilbert import (
+    StateVector,
+    UnitaryMatrix,
+    _measurement_vector,
+    random_state,
+    random_unitary,
+)
 from freqop.oracle import (
     DENSE_CAP,
     DenseVector,
@@ -230,6 +236,47 @@ def test_dense_apply_does_not_depend_on_the_tile_size(rng, monkeypatch):
         assert tiled == whole, tile
 
 
+def test_dense_deviation_has_the_bits_of_one_sum_over_the_whole_vector(rng, monkeypatch):
+    # the reference builds f|s^N> and the squared difference in full and
+    # sums it with numpy at once; the deviation sums it tile by tile in the
+    # same pairwise split. Tiles of a few amplitudes put one 128-part run of
+    # that split across many tiles
+    cases = []
+    for d, n in ((2, 7), (3, 5), (5, 3)):
+        perm = UnitaryMatrix(np.eye(d)[:, np.roll(np.arange(d), 1)])
+        s = random_state(d, rng)
+        cases += [(s, n, basis) for basis in (None, perm, random_unitary(d, rng))]
+    for tile in (1, 2, 3, 4, 9, 25, 32, 81, 125, DENSE_CAP):
+        monkeypatch.setattr(oracle, "APPLY_TILE", tile)
+        for s, n, basis in cases:
+            v = kron_power(s, n)
+            for k in range(s.dim):
+                kvec = _measurement_vector(k, s.dim, basis)
+                p = abs(complex(np.vdot(kvec, s.amps))) ** 2
+                diff = dense_apply_frequency(k, v, basis).amps - p * v.amps
+                sq = diff.view(np.float64)
+                want = math.sqrt((sq * sq).sum())
+                assert dense_deviation(s, k, n, basis) == want, (tile, s.dim, n, k)
+
+
+def test_pairwise_sum_over_runs_is_numpy_sum(rng):
+    # runs of any length, down to one part, in any number
+    for n in (1, 7, 8, 128, 129, 136, 1000, 4099):
+        x = rng.random(n) * 10.0 ** rng.integers(-12, 12, n)
+        for _ in range(5):
+            cuts = rng.choice(np.arange(1, n), size=min(n - 1, rng.integers(40)), replace=False)
+            runs = np.split(x, np.sort(cuts))
+            assert oracle._pairwise_sum(runs, n) == x.sum(), n
+
+
+def test_eigencheck_reports_a_nan_residual(monkeypatch):
+    # max(0.0, nan) is 0.0: a NaN entry must be the worst residual instead
+    nan_vector = np.array([np.nan, 1.0])
+    monkeypatch.setattr(oracle, "_measurement_vector", lambda k, d, basis: nan_vector)
+    _, worst = eigencheck_standard_basis(0, 3, 2)
+    assert math.isnan(worst)
+
+
 def test_eigencheck_memory_does_not_grow_with_the_operator():
     # all 2**14 * 14 * 2 entries at once take about 34 MB; a slice of
     # EIGEN_COLUMNS columns and the 128 KB of eigenvalues stay far below
@@ -291,13 +338,15 @@ def _traced_peak(f):
 
 
 def test_dense_results_are_not_copied():
-    # at 2**20 amplitudes a result is 16 MiB: the apply adds two tile-sized
+    # at 2**20 amplitudes a result is 16 MiB: the apply adds a few tile-sized
     # buffers and the 1 MiB finiteness mask of its check, the Kronecker
-    # power the 8 MiB vector one slot short
+    # power one tile-sized copy and the mask, and the deviation holds the
+    # power and tile-sized buffers only
     s = StateVector([0.6, 0.8])
     v = kron_power(s, 20)
     assert _traced_peak(lambda: dense_apply_frequency(0, v)) <= 18 * 2**20
-    assert _traced_peak(lambda: kron_power(s, 20)) <= 25 * 2**20
+    assert _traced_peak(lambda: kron_power(s, 20)) <= 18 * 2**20
+    assert _traced_peak(lambda: dense_deviation(s, 0, 20)) <= 18 * 2**20
 
 
 def test_matrix_cap():
