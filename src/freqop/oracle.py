@@ -180,7 +180,12 @@ def _frequency_tiles(
     tile's view ``(d**(alpha - N + m), d, rest)``. Indices where the
     measurement vector is exactly zero are skipped, in the sum and in the
     output, since the projector is zero there (in the standard basis only
-    index ``k`` is touched). Every entry gets the same products, added in
+    index ``k`` is touched). When the one live index holds exactly 1 (the
+    standard basis or a permutation of it), the slot views are added
+    without their two products by 1: the amplitudes are finite, ``x * 1``
+    differs from ``x`` at most in the sign of a zero, and the output starts
+    at +0 and only receives sums, so it never holds -0 and adding either
+    zero leaves the same bits. Every entry gets the same products, added in
     the same slot order, whatever the tile size, so the bits do not depend
     on ``APPLY_TILE``; no BLAS routine is called. Each tile is yielded
     divided by N, in one buffer that the next tile overwrites.
@@ -188,6 +193,7 @@ def _frequency_tiles(
     d, n = v.d, v.n_slots
     kc = kvec.conj()
     first, *rest = np.flatnonzero(kvec)
+    unit = not rest and kvec[first] == 1
     m = 0
     while m < n and d ** (m + 1) <= APPLY_TILE:
         m += 1
@@ -207,6 +213,9 @@ def _frequency_tiles(
             c = b // place % d
             if kvec[c] == 0:
                 continue
+            if unit:  # c is the live index, so the tile with digit c is t
+                o += t
+                continue
             base = b - c * place
             np.multiply(tiles[base + first * place], kc[first], out=amp)
             for i in rest:
@@ -217,6 +226,9 @@ def _frequency_tiles(
         for alpha in range(m):
             outer, inner = d**alpha, d ** (m - alpha - 1)
             tv, ov = t.reshape(outer, d, inner), o.reshape(outer, d, inner)
+            if unit:
+                ov[:, first, :] += tv[:, first, :]
+                continue
             a, w = amp_low.reshape(outer, inner), term_low.reshape(outer, inner)
             np.multiply(tv[:, first, :], kc[first], out=a)
             for i in rest:

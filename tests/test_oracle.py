@@ -236,6 +236,49 @@ def test_dense_apply_does_not_depend_on_the_tile_size(rng, monkeypatch):
         assert tiled == whole, tile
 
 
+def test_adding_at_an_exact_one_has_the_bits_of_multiplying(rng, monkeypatch):
+    # the standard basis adds the slot views without multiplying them by its
+    # exact 1; a diagonal basis of phases 1, -1, i, -i takes the multiplying
+    # walk, and its products by the phase and back are exact, so both must
+    # give the same bits, zero parts of either sign included
+    phases = ([1j, -1, -1j, 1, 1j], [-1, -1j, 1j, -1, 1])
+    default = oracle.APPLY_TILE
+    for d, n in ((2, 5), (3, 4), (5, 3), (2, 12)):
+        bases = [UnitaryMatrix(np.diag(ph[:d])) for ph in phases]
+        a = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
+        signed = a.copy()
+        signed[::3] = complex(-0.0, 1)
+        signed[1::5] = complex(-0.5, -0.0)
+        signed[2::7] = complex(-0.0, -0.0)
+        vectors = [DenseVector(d, n, x) for x in (a, signed)]
+        s = random_state(d, rng)
+        for tile in (1, d, 32, default):
+            monkeypatch.setattr(oracle, "APPLY_TILE", tile)
+            for k in range(d):
+                for v in vectors:
+                    added = dense_apply_frequency(k, v).amps.tobytes()
+                    for basis in bases:
+                        assert dense_apply_frequency(k, v, basis).amps.tobytes() == added
+                dev = dense_deviation(s, k, n)
+                for basis in bases:
+                    assert dense_deviation(s, k, n, basis) == dev, (tile, d, n, k)
+
+
+def test_a_live_index_beside_an_exact_one_is_walked(monkeypatch):
+    # column 0 holds an exact 1 and a live 1e-10: the walk must not take the
+    # add-only path, which would drop the 1e-10 part of every slot
+    basis = UnitaryMatrix([[1, -1e-10], [1e-10, 1]])
+    assert basis.entries[:, 0].tolist() == [1, 1e-10]
+    m = dense_frequency_matrix(0, 5, 2, basis)
+    for tile in (oracle.APPLY_TILE, 2):
+        monkeypatch.setattr(oracle, "APPLY_TILE", tile)
+        for j in range(2**5):
+            e = DenseVector(2, 5, np.eye(2**5)[j])
+            npt.assert_allclose(
+                dense_apply_frequency(0, e, basis).amps, m[:, j], rtol=0, atol=1e-15
+            )
+
+
 def test_dense_deviation_has_the_bits_of_one_sum_over_the_whole_vector(rng, monkeypatch):
     # the reference builds f|s^N> and the squared difference in full and
     # sums it with numpy at once; the deviation sums it tile by tile in the
