@@ -13,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import enum
 import functools
 import itertools
 import json
@@ -34,31 +35,58 @@ from .verify import DEFAULT_SEED, SEED_MAX, SPECTRUM_TOL, judge, run_all
 SCHEMA_VERSION = 1
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _cell(v) -> str:
+    """``v`` as one CSV cell: a float in 17 significant digits, a complex as
+    ``re±imj``, an enum by its value, a bool in lower case."""
+    if isinstance(v, bool):
+        return str(v).lower()
+    if isinstance(v, float):
+        return format(float(v), ".17g")
+    if isinstance(v, complex):
+        return f"{v.real:.17g}{v.imag:+.17g}j"
+    if isinstance(v, enum.Enum):
+        return v.value
+    return str(v)
 
 
-def _finite_or_null(x):
-    """``x`` with every non-finite float replaced by ``None``: JSON has no NaN."""
-    if isinstance(x, float):
-        return x if math.isfinite(x) else None
+def _plain(x):
+    """``x`` as JSON data: a dataclass by its fields, an enum by its value, a
+    tuple as a list, a non-finite float as ``None`` (JSON has no NaN)."""
+    if dataclasses.is_dataclass(x):
+        return {f.name: _plain(getattr(x, f.name)) for f in dataclasses.fields(x)}
+    if isinstance(x, enum.Enum):
+        return x.value
     if isinstance(x, dict):
-        return {k: _finite_or_null(v) for k, v in x.items()}
+        return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [_finite_or_null(v) for v in x]
+        return [_plain(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return None
     return x
 
 
+def _columns(rep) -> dict:
+    """A report's fields as named columns; a tuple field spreads over
+    ``name_a``, ``name_b``, ..."""
+    cols = {}
+    for f in dataclasses.fields(rep):
+        v = getattr(rep, f.name)
+        if isinstance(v, tuple):
+            cols.update((f"{f.name}_{chr(ord('a') + i)}", x) for i, x in enumerate(v))
+        else:
+            cols[f.name] = v
+    return cols
+
+
 def _emit(fmt: str, header: list[str], rows: list[list], payload: dict) -> None:
-    """Write ``rows`` under ``header`` as CSV, or ``payload`` as versioned JSON,
-    where a non-finite number reads ``null``."""
+    """Write ``rows`` under ``header`` as CSV, or ``payload`` as versioned JSON."""
     if fmt == "csv":
         w = csv.writer(sys.stdout)
         w.writerow(header)
         for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+            w.writerow([_cell(v) for v in row])
     else:
-        doc = _finite_or_null({"schema_version": SCHEMA_VERSION, **payload})
+        doc = _plain({"schema_version": SCHEMA_VERSION, **payload})
         click.echo(json.dumps(doc, indent=2, allow_nan=False))
 
 
@@ -82,6 +110,16 @@ def _judged(line: str, errors: list[float], tolerance: float) -> None:
     _, failures, worst = judge(errors, tolerance)
     _verdict(f"{line.format(*errors, worst=worst)} "
              f"({'FAIL' if failures else 'pass'} at {tolerance:g})", not failures)
+
+
+_DEVIATIONS = ["deviation_exact", "deviation_closed", "abs_error"]
+
+
+def _deviation_row(rep) -> list:
+    """N, p, the two deviations of ``rep`` and their squared mismatch: the
+    columns ``converge`` and ``sequential`` share."""
+    return [rep.n_slots, rep.p, rep.deviation_exact, rep.deviation_closed,
+            abs(rep.deviation_exact**2 - rep.deviation_closed**2)]
 
 
 @contextlib.contextmanager
@@ -215,15 +253,8 @@ def converge(s, basis, k, ns, tolerance, fmt):
         reports = [
             deviation_norm(FrequencySpec(k, n, basis), s) for n in sizes
         ]
-    rows = [
-        [rep.n_slots, float(rep.p), float(rep.deviation_exact),
-         float(rep.deviation_closed),
-         float(abs(rep.deviation_exact**2 - rep.deviation_closed**2)),
-         float(rep.applied_norm**2)]
-        for rep in reports
-    ]
-    header = ["N", "p", "deviation_exact", "deviation_closed", "abs_error",
-              "norm_fN_sq"]
+    rows = [[*_deviation_row(rep), rep.applied_norm**2] for rep in reports]
+    header = ["N", "p", *_DEVIATIONS, "norm_fN_sq"]
     _table(fmt, "converge", header, rows, k=k, tolerance=tolerance)
     _judged("converge: worst |deviation^2 - closed^2| = {worst:.3g}",
             [row[4] for row in rows], tolerance)
@@ -282,12 +313,8 @@ def sequential(h_path, dt, m, n, successions, tolerance, fmt):
         spec = SequentialSpec(h, dt, m, n, successions)
         rep = succession_frequency(spec)
     q_all = succession_probabilities(h, dt, m)
-    abs_error = abs(rep.deviation_exact**2 - rep.deviation_closed**2)
-    prob_sum_error = abs(float(q_all.sum()) - 1.0)
-    header = ["successions", "q", "deviation_exact", "deviation_closed",
-              "abs_error", "prob_sum_error"]
-    row = [successions, float(rep.p), float(rep.deviation_exact),
-           float(rep.deviation_closed), float(abs_error), float(prob_sum_error)]
+    header = ["successions", "q", *_DEVIATIONS, "prob_sum_error"]
+    row = [*_deviation_row(rep), abs(float(q_all.sum()) - 1.0)]
     _emit(fmt, header, [row], {
         "command": "sequential",
         "dt": dt,
@@ -296,7 +323,7 @@ def sequential(h_path, dt, m, n, successions, tolerance, fmt):
         "row": dict(zip(header, row)),
     })
     _judged("sequential: identity error {0:.3g}, probability sum error {1:.3g}",
-            [abs_error, prob_sum_error], tolerance)
+            row[4:], tolerance)
 
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -314,26 +341,16 @@ def epr(alpha, beta, fmt):
     Example: freqop epr --format json
 
     Before conditioning every single-particle spin proposition must be
-    indefinite; after conditioning the first spin on "up" the pair is the
-    product |up>|down> and "second spin down" is true. Exits 1 if any of
-    that fails.
+    indefinite, or the pair is refused; after conditioning the first spin on
+    "up" the pair must be the product |up>|down>, with "second spin down"
+    true. Exits 1 if that fails.
     """
     a = _parse_complex(alpha, "--alpha")
     b = _parse_complex(beta, "--beta")
     with _usage_errors():
         rep = epr_check(a, b)
-    pairs = [
-        ("alpha", f"{a.real:.17g}{a.imag:+.17g}j"),
-        ("beta", f"{b.real:.17g}{b.imag:+.17g}j"),
-        ("pre_first_up", rep.pre_first_up.value),
-        ("pre_first_down", rep.pre_first_down.value),
-        ("pre_second_up", rep.pre_second_up.value),
-        ("pre_second_down", rep.pre_second_down.value),
-        ("branch_probability", _fmt(rep.branch_probability)),
-        ("post_second_down", rep.post_second_down.value),
-        ("product_residual", _fmt(rep.product_residual)),
-        ("passed", str(rep.passed).lower()),
-    ]
+    # epr's JSON holds each value as its CSV cell, a string
+    pairs = [(name, _cell(v)) for name, v in _columns(rep).items()]
     _emit(fmt, ["field", "value"], pairs, {"command": "epr", **dict(pairs)})
     _verdict(f"epr: {'pass' if rep.passed else 'FAIL'}", rep.passed)
 
@@ -358,32 +375,11 @@ def wigner(alpha, beta, fmt):
     b = _parse_complex(beta, "--beta")
     with _usage_errors():
         rep = wigner_friend_check(a, b)
-    branches = [
-        {
-            "reply": br.reply,
-            "probability": br.probability,
-            "product_residual": br.product_residual,
-            "composite_truth": [t.value for t in br.composite_truth],
-            "object_truth": [t.value for t in br.object_truth],
-            "consistent": br.consistent,
-        }
-        for br in rep.branches
-    ]
-    rows = [
-        [b["reply"], float(b["probability"]), float(b["product_residual"]),
-         *b["composite_truth"], *b["object_truth"], str(b["consistent"]).lower()]
-        for b in branches
-    ]
-    header = ["reply", "probability", "product_residual",
-              "composite_truth_a", "composite_truth_b",
-              "object_truth_a", "object_truth_b", "consistent"]
-    _emit(fmt, header, rows, {
-        "command": "wigner",
-        "pre_object_a": rep.pre_object_a.value,
-        "pre_object_b": rep.pre_object_b.value,
-        "branches": branches,
-        "passed": rep.passed,
-    })
+    columns = [_columns(br) for br in rep.branches]  # never empty: the weights sum to 1
+    # unlike epr's, the JSON report leaves out the inputs alpha and beta
+    report = {k: v for k, v in _plain(rep).items() if k not in ("alpha", "beta")}
+    _emit(fmt, list(columns[0]), [list(c.values()) for c in columns],
+          {"command": "wigner", **report})
     _verdict(f"wigner: {'pass' if rep.passed else 'FAIL'}", rep.passed)
 
 
@@ -433,7 +429,7 @@ def verify_all(seed, tolerance):
         "command": "verify-all",
         "seed": seed,
         "tolerance": tolerance,
-        "suites": [dataclasses.asdict(r) for r in results],
+        "suites": results,
         "total_cases": total_cases,
         "total_failures": total_failures,
     })

@@ -134,15 +134,21 @@ class EprReport:
 
 
 def _unit_weights(alpha: complex, beta: complex) -> tuple[complex, complex]:
-    """``alpha`` and ``beta`` as complex numbers, refused unless the weights sum to 1."""
+    """``alpha`` and ``beta`` as complex numbers, refused unless their norm is
+    1 within ``NORM_TOL``, as `hilbert` judges a state."""
     alpha, beta = complex(alpha), complex(beta)
     try:
         total = abs(alpha) ** 2 + abs(beta) ** 2
     except OverflowError:  # a huge but finite amplitude
         total = math.inf
-    if abs(total - 1.0) > NORM_TOL:
+    if abs(math.sqrt(total) - 1.0) > NORM_TOL:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {total:.12g} is not 1")
     return alpha, beta
+
+
+def _qubit_basis() -> tuple[Projector, Projector]:
+    """The propositions "is |0>" and "is |1>" of a two-level subsystem."""
+    return Projector.onto_basis_state(2, 0), Projector.onto_basis_state(2, 1)
 
 
 def epr_pair(alpha: complex, beta: complex) -> BipartiteState:
@@ -162,32 +168,24 @@ def epr_check(
 
     Before any measurement no spin proposition about either particle is
     definite. Conditioning on "first spin up" leaves the product state
-    ``|up>|down>``, making "second spin down" TRUE. Both weights must be
-    nonzero (a definite preparation is rejected, the scenario would be
-    empty) and ``|alpha|^2 + |beta|^2`` must be 1.
+    ``|up>|down>``, making "second spin down" TRUE. ``alpha`` and ``beta``
+    must have unit norm, and a pair for which any of the four propositions
+    is already definite is refused: that scenario would be empty.
     """
     alpha, beta = _unit_weights(alpha, beta)
-    if abs(alpha) ** 2 <= NORM_TOL or abs(beta) ** 2 <= NORM_TOL:
-        raise ValueError("both branches must carry weight; got a definite pair")
     state = epr_pair(alpha, beta)
-    p_up = Projector.onto_basis_state(2, 0)
-    p_down = Projector.onto_basis_state(2, 1)
-    pre = (
-        subsystem_truth_value(state, "first", p_up),
-        subsystem_truth_value(state, "first", p_down),
-        subsystem_truth_value(state, "second", p_up),
-        subsystem_truth_value(state, "second", p_down),
+    p_up, p_down = basis = _qubit_basis()
+    pre = tuple(
+        subsystem_truth_value(state, side, p) for side in ("first", "second") for p in basis
     )
+    if any(t is not TruthValue.INDEFINITE for t in pre):
+        raise ValueError("both branches must carry weight; got a definite pair")
     conditioned = condition_on(state, "first", p_up)
     post = subsystem_truth_value(conditioned, "second", p_down)
     target = np.zeros((2, 2), dtype=np.complex128)
     target[0, 1] = 1.0
     residual = _phase_free_residual(conditioned, target)
-    passed = (
-        all(t is TruthValue.INDEFINITE for t in pre)
-        and post is TruthValue.TRUE
-        and residual <= product_tol
-    )
+    passed = post is TruthValue.TRUE and residual <= product_tol
     return EprReport(
         alpha=alpha,
         beta=beta,
@@ -241,45 +239,41 @@ def wigner_friend_check(
     the projector extended by the identity) and the inside description
     (conditioned object state alone) assign identical truth values to both
     object basis propositions. Each branch's weight is the corresponding
-    amplitude squared.
+    amplitude squared; a branch whose record proposition is FALSE on the
+    composite, the point at which `condition_on` refuses, is left out.
     """
     alpha, beta = _unit_weights(alpha, beta)
     m = np.zeros((2, 2), dtype=np.complex128)
     m[0, 0] = alpha
     m[1, 1] = beta
     composite = BipartiteState(m)
-    p_obj = (Projector.onto_basis_state(2, 0), Projector.onto_basis_state(2, 1))
-    p_rec = (Projector.onto_basis_state(2, 0), Projector.onto_basis_state(2, 1))
-    pre_a = subsystem_truth_value(composite, "first", p_obj[0])
-    pre_b = subsystem_truth_value(composite, "first", p_obj[1])
+    basis = _qubit_basis()
+    pre_a, pre_b = (subsystem_truth_value(composite, "first", p) for p in basis)
     branches = []
-    all_consistent = True
-    for j, reply in enumerate(("a", "b")):
-        prob = branch_probability(composite, "second", p_rec[j])
-        if prob <= NORM_TOL:
+    for j, (reply, p_rec) in enumerate(zip(("a", "b"), basis)):
+        if subsystem_truth_value(composite, "second", p_rec) is TruthValue.FALSE:
             continue
-        conditioned = condition_on(composite, "second", p_rec[j])
+        conditioned = condition_on(composite, "second", p_rec)
         object_state = StateVector(conditioned.amps[:, j], normalize=True)
         target = np.zeros((2, 2), dtype=np.complex128)
         target[j, j] = 1.0
         residual = _phase_free_residual(conditioned, target)
         composite_tv = tuple(
-            subsystem_truth_value(conditioned, "first", p) for p in p_obj
+            subsystem_truth_value(conditioned, "first", p) for p in basis
         )
-        object_tv = tuple(truth_value(object_state, p) for p in p_obj)
+        object_tv = tuple(truth_value(object_state, p) for p in basis)
         consistent = composite_tv == object_tv and residual <= product_tol
-        all_consistent = all_consistent and consistent
         branches.append(
             WignerBranch(
                 reply=reply,
-                probability=prob,
+                probability=branch_probability(composite, "second", p_rec),
                 product_residual=residual,
                 composite_truth=composite_tv,
                 object_truth=object_tv,
                 consistent=consistent,
             )
         )
-    passed = all_consistent and len(branches) >= 1
+    passed = bool(branches) and all(b.consistent for b in branches)
     return WignerReport(
         alpha=alpha,
         beta=beta,

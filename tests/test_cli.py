@@ -100,6 +100,11 @@ def test_a_nan_route_error_fails_verify_all_and_converge(runner, monkeypatch, tm
     result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "0"])
     assert result.exit_code == 1
     assert "FAIL" in result.stderr
+    # no golden file pins how CSV spells a NaN
+    header, *rows = _rows(result.stdout)
+    for row in rows:
+        cells = dict(zip(header, row))
+        assert cells["deviation_exact"] == cells["abs_error"] == "nan"
     result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "0",
                                   "--format", "json"])
     assert result.exit_code == 1

@@ -104,8 +104,10 @@ def test_epr_check_complex_phases_are_harmless():
 
 
 def test_epr_check_rejects_definite_pair():
-    with pytest.raises(ValueError, match="both branches"):
-        epr_check(1.0, 0.0)
+    # an amplitude of 1e-10 is within NORM_TOL of zero: FALSE, not possible
+    for alpha, beta in ((1.0, 0.0), (1e-10, 1.0)):
+        with pytest.raises(ValueError, match="both branches"):
+            epr_check(alpha, beta)
 
 
 def test_epr_check_rejects_unnormalized():
@@ -154,9 +156,46 @@ def test_wigner_degenerate_pair_has_single_definite_branch():
     br = rep.branches[0]
     assert br.reply == "a"
     npt.assert_allclose(br.probability, 1.0, atol=1e-14)
+    # a record of amplitude 1e-10 is FALSE within NORM_TOL and left out too
+    rep = wigner_friend_check(1e-10, 1.0)
+    assert rep.pre_object_a is TruthValue.FALSE
+    assert [br.reply for br in rep.branches] == ["b"]
 
 
 def test_wigner_rejects_unnormalized():
     for alpha in (0.9, 1e200):
         with pytest.raises(ValueError, match="not 1"):
             wigner_friend_check(alpha, 0.9)
+
+
+# amplitudes of norm 1 + 8e-10 (weights summing to 1 + 1.6e-9), then 1 + 1.2e-9
+NEAR_UNIT = (0.6 * (1 + 8e-10), 0.8 * (1 + 8e-10))
+OFF_UNIT = (0.6 * (1 + 1.2e-9), 0.8 * (1 + 1.2e-9))
+
+
+def test_scenarios_judge_unit_weights_by_the_norm():
+    # the tolerance bounds the norm, as for every state, not the squared weights
+    assert epr_check(*NEAR_UNIT).passed
+    assert wigner_friend_check(*NEAR_UNIT).passed
+    for check in (epr_check, wigner_friend_check):
+        with pytest.raises(ValueError, match="not 1"):
+            check(*OFF_UNIT)
+
+
+def test_epr_check_accepts_a_small_but_possible_branch():
+    # the first weight, 4.84e-10, is below NORM_TOL, but its amplitude is not
+    rep = epr_check(2.2e-5, 1.0)
+    assert rep.passed
+    for tv in (rep.pre_first_up, rep.pre_first_down,
+               rep.pre_second_up, rep.pre_second_down):
+        assert tv is TruthValue.INDEFINITE
+    npt.assert_allclose(rep.branch_probability, 4.84e-10, rtol=1e-8)
+
+
+def test_wigner_check_keeps_a_small_but_possible_branch():
+    rep = wigner_friend_check(2.2e-5, 1.0)
+    assert rep.passed
+    assert rep.pre_object_a is TruthValue.INDEFINITE
+    assert [br.reply for br in rep.branches] == ["a", "b"]
+    npt.assert_allclose(rep.branches[0].probability, 4.84e-10, rtol=1e-8)
+    assert all(br.consistent for br in rep.branches)
