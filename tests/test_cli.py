@@ -319,6 +319,17 @@ def test_verify_all_seed_must_fit_a_signed_64_bit_key(runner):
         assert result.stdout == ""
 
 
+def test_sample_seed_must_fit_a_128_bit_philox_key(runner):
+    # the range is named by sampling, not by the generator's own message
+    args = ["sample", "--amps", "0.6;0.8", "--n", "10", "--seed"]
+    assert runner.invoke(main, [*args, str(2**128 - 1)]).exit_code == 0
+    for bad in ("-1", str(2**128)):
+        result = runner.invoke(main, [*args, bad])
+        assert result.exit_code == 2, bad
+        assert result.stdout == ""
+        assert "seed must be an integer in 0..2**128 - 1" in result.stderr
+
+
 def test_sample_refuses_more_draws_than_the_bound_before_drawing(runner, monkeypatch):
     # 10**9 draws take about half a minute; a larger --n is refused at once
     def no_generator(*args, **kwargs):

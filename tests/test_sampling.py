@@ -93,8 +93,8 @@ def test_record_matches_documented_algorithm(case, monkeypatch):
 
 
 def test_sampling_memory_stays_below_the_draw_block():
-    # a block of 2**20 draws takes 8 MiB of uniforms and 8 MiB of indices,
-    # reused from block to block; the bucket tables and counts stay small
+    # a block of 2**16 draws takes 512 KiB of raw words and 512 KiB of bucket
+    # indices, made anew each block; the bucket tables and counts stay small
     s = random_state(1000, np.random.Generator(np.random.Philox(key=3)))
     tracemalloc.start()
     try:
@@ -102,8 +102,8 @@ def test_sampling_memory_stays_below_the_draw_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert sampling.DRAW_BLOCK == 2**20
-    assert peak < 20 * 2**20
+    assert sampling.DRAW_BLOCK == 2**16
+    assert peak < 4 * 2**20
 
 
 def test_replay_is_bit_exact():
@@ -112,11 +112,26 @@ def test_replay_is_bit_exact():
     assert a == b
 
 
-def test_record_does_not_depend_on_the_draw_block(rng, monkeypatch):
-    s = random_state(4, rng)
-    whole = sample_ensemble(s, 1000, seed=11)
-    monkeypatch.setattr(sampling, "DRAW_BLOCK", 7)
-    assert sample_ensemble(s, 1000, seed=11) == whole
+def test_record_does_not_depend_on_the_draw_block(monkeypatch):
+    # the long run spans several default blocks, and d = 1000 fills all
+    # MAX_BUCKETS buckets; blocks of one draw take a shorter run, to stay fast
+    runs = {3 * 2**16 + 5: (7, 2**16, 2**20), 2**12 + 3: (1,)}
+    for d in (4, 1000):
+        s = random_state(d, np.random.Generator(np.random.Philox(key=d)))
+        whole = {n: sample_ensemble(s, n, seed=11) for n in runs}
+        for n, blocks in runs.items():
+            for block in blocks:
+                monkeypatch.setattr(sampling, "DRAW_BLOCK", block)
+                assert sample_ensemble(s, n, seed=11) == whole[n], (d, n, block)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("key", [0, 11, 2**64 + 3, 2**128 - 1])
+def test_uniforms_are_the_top_53_bits_of_raw_philox_words(key):
+    # sample_ensemble reads buckets and uniforms off raw words on this rule
+    u = np.random.Generator(np.random.Philox(key=key)).random(1000)
+    words = np.random.Philox(key=key).random_raw(1000)
+    assert np.array_equal(u, (words >> 11) * 2.0**-53)
 
 
 def test_different_seeds_differ():
@@ -151,6 +166,9 @@ def test_input_validation():
         sample_ensemble(S68, 10, seed=-1)
     with pytest.raises(ValueError, match="seed"):
         sample_ensemble(S68, 10, seed=True)
+    with pytest.raises(ValueError, match=r"0\.\.2\*\*128 - 1"):
+        sample_ensemble(S68, 10, seed=2**128)
+    assert sample_ensemble(S68, 10, seed=2**128 - 1).n_samples == 10
     with pytest.raises(ValueError, match="basis dim"):
         sample_ensemble(
             S68, 10, seed=1,
