@@ -101,6 +101,12 @@ def _slot_deviation(kvec: np.ndarray, s: StateVector) -> tuple[float, float]:
     ``(f_N - p)|s>^infinity`` is the mean over the N slots of ``v`` placed
     there. Both numbers come from the amplitude vectors, not from ``p - p^2``,
     so nothing of size ``p^2`` cancels, however large N is.
+
+    ``<s|v> = a <s|k> - p <s|s> = |a|^2 - p`` is 0 in exact arithmetic: it
+    is the orthogonality of the one-slot deviation to the state that the 1/N
+    law rests on. So ``|<s|v>|^2`` is rounding only, at most 64 eps^2 for
+    d <= 8 (a test pins it), and no check of the deviation can see the
+    ``(n - 1)`` coefficient that the counted route gives it.
     """
     a = complex(np.vdot(kvec, s.amps))
     v = a * kvec - (a * a.conjugate()).real * s.amps

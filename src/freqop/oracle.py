@@ -189,6 +189,20 @@ def _frequency_tiles(
     the same slot order, whatever the tile size, so the bits do not depend
     on ``APPLY_TILE``; no BLAS routine is called. Each tile is yielded
     divided by N, in one buffer that the next tile overwrites.
+
+    On that add-only path every add into entry x adds the tile's own
+    ``t[x]``, so ``o[x]`` is +0 plus ``t[x]`` added c(x) times, c(x) being
+    the number of slots of x that read the live index. Where N >= 3d and
+    the vector spans more than one tile, the walk adds those copies over
+    contiguous runs instead of strided slot views: the tile is gathered in
+    the order of its trailing count q (the live digits among its m trailing
+    slots, sorted once per call), each leading slot that reads the live
+    index adds the whole sorted tile, and the j-th trailing add covers the
+    run with q >= j. Every entry gets the same addends, as many times, from
+    the same +0, and since the addends are equal their order cannot move a
+    bit. The gather and the scatter back cost about three adds, so the
+    runs pay only with many live slots per tile: they halve the (2, 20)
+    walk and slow the (4, 10) and (5, 8) walks, which keep the views.
     """
     d, n = v.d, v.n_slots
     kc = kvec.conj()
@@ -201,12 +215,34 @@ def _frequency_tiles(
     tiles = v.amps.reshape(-1, size)
     # the output tile, the projected amplitudes and a product scratch, reused
     # at every tile; a trailing slot uses the first size / d entries of the
-    # last two
+    # last two, and the count-sorted walk holds a sorted tile and its sums
     o = np.empty(size, dtype=v.amps.dtype)
     amp = np.empty_like(o)
     term = np.empty_like(o)
     amp_low, term_low = amp[: size // d], term[: size // d]
+    grouped = unit and high > 0 and n >= 3 * d
+    if grouped:
+        # q[x]: how many of the m trailing digits of x read `first`; entries
+        # sorted by q, and the first sorted place with q >= j for j = 1..m
+        hit = (np.arange(d) == first).astype(np.int8)
+        q = np.zeros(1, dtype=np.int8)
+        for _ in range(m):
+            q = (q[:, None] + hit).ravel()
+        order = np.argsort(q, kind="stable")
+        starts = np.searchsorted(q[order], np.arange(1, m + 1)).tolist()
     for b, t in enumerate(tiles):
+        if grouped:
+            lead = sum(b // d**e % d == first for e in range(high))
+            np.take(t, order, out=amp)
+            term.fill(0)
+            for _ in range(lead):
+                term += amp
+            for start in starts:
+                term[start:] += amp[start:]
+            o[order] = term
+            _divide(o, n)
+            yield slice(b * size, (b + 1) * size), o
+            continue
         o.fill(0)
         for alpha in range(high):
             place = d ** (high - alpha - 1)

@@ -11,13 +11,21 @@ from freqop.frequency import (
     GRAM_LIMIT,
     FrequencyReport,
     FrequencySpec,
+    _slot_deviation,
     apply_frequency,
     cauchy_gap,
     cauchy_gap_grid,
     cross_orthogonality,
     deviation_norm,
 )
-from freqop.hilbert import NORM_TOL, StateVector, random_state, random_unitary
+from freqop.hilbert import (
+    NORM_TOL,
+    StateVector,
+    UnitaryMatrix,
+    _measurement_vector,
+    random_state,
+    random_unitary,
+)
 from freqop.oracle import dense_deviation, dense_embed
 from freqop.product import (
     ProductState,
@@ -108,6 +116,27 @@ def test_counted_route_keeps_relative_accuracy_at_huge_n(rng):
             rep = deviation_norm(FrequencySpec(k, n), s, method="counted")
             closed_sq = (rep.p - rep.p * rep.p) / n
             assert abs(rep.deviation_exact**2 - closed_sq) <= 1e-12 * closed_sq
+
+
+def test_slot_deviation_is_orthogonal_to_the_state_within_rounding(rng):
+    # <s|v> = a <s|k> - p <s|s> = |a|^2 - p is 0 in exact arithmetic, so
+    # the counted route's (n - 1) |<s|v>|^2 term is rounding only: pin it
+    # within 64 eps^2, (d eps)^2 at the largest d, for every kind of basis
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for c in range(3000):
+        d = int(rng.integers(2, 9))
+        s = random_state(d, rng)
+        k = int(rng.integers(d))
+        if c % 3 == 0:
+            basis = None
+        elif c % 3 == 1:
+            basis = UnitaryMatrix(np.eye(d)[:, rng.permutation(d)])
+        else:
+            basis = random_unitary(d, rng)
+        _, sv_sq = _slot_deviation(_measurement_vector(k, d, basis), s)
+        worst = max(worst, sv_sq)
+    assert worst <= 64 * eps**2
 
 
 def test_gram_and_counted_routes_agree_at_crossover(rng):

@@ -215,9 +215,12 @@ def test_eigencheck_does_not_depend_on_the_slice_size(monkeypatch):
 
 def test_dense_apply_does_not_depend_on_the_tile_size(rng, monkeypatch):
     # one tile of d**N amplitudes walks every slot in place; smaller tiles
-    # reach the leading slots across tiles, down to one amplitude a tile
+    # reach the leading slots across tiles, down to one amplitude a tile.
+    # From N = 3d on, a standard or permuted basis over several tiles adds
+    # count-sorted runs instead of slot views: (2, 6) and (2, 9) take that
+    # walk at every tile but the whole vector, and compare it with the views
     cases = []
-    for d, n in ((2, 5), (3, 4), (5, 3)):
+    for d, n in ((2, 5), (3, 4), (5, 3), (2, 6), (2, 9)):
         perm = UnitaryMatrix(np.eye(d)[:, np.roll(np.arange(d), 1)])
         for basis in (None, perm, random_unitary(d, rng)):
             a = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
@@ -240,10 +243,11 @@ def test_adding_at_an_exact_one_has_the_bits_of_multiplying(rng, monkeypatch):
     # the standard basis adds the slot views without multiplying them by its
     # exact 1; a diagonal basis of phases 1, -1, i, -i takes the multiplying
     # walk, and its products by the phase and back are exact, so both must
-    # give the same bits, zero parts of either sign included
+    # give the same bits, zero parts of either sign included; (2, 6), (2, 9)
+    # and (2, 12) add count-sorted runs at tiles smaller than the vector
     phases = ([1j, -1, -1j, 1, 1j], [-1, -1j, 1j, -1, 1])
     default = oracle.APPLY_TILE
-    for d, n in ((2, 5), (3, 4), (5, 3), (2, 12)):
+    for d, n in ((2, 5), (3, 4), (5, 3), (2, 6), (2, 9), (2, 12)):
         bases = [UnitaryMatrix(np.diag(ph[:d])) for ph in phases]
         a = rng.standard_normal(d**n) + 1j * rng.standard_normal(d**n)
         signed = a.copy()
@@ -262,6 +266,37 @@ def test_adding_at_an_exact_one_has_the_bits_of_multiplying(rng, monkeypatch):
                 dev = dense_deviation(s, k, n)
                 for basis in bases:
                     assert dense_deviation(s, k, n, basis) == dev, (tile, d, n, k)
+
+
+@pytest.mark.parametrize("d, n", [(2, 7), (3, 5), (5, 3)])
+def test_standard_basis_apply_adds_each_amplitude_once_per_live_slot(d, n, rng, monkeypatch):
+    # f_N is diagonal in the standard basis: entry x of N f_N v is v[x] times
+    # c(x), the number of slots of x that read k. The walk forms it as +0
+    # plus v[x] added c(x) times, each float part then divided by N; here
+    # that sum is built entry by entry, with the digits read by a plain loop.
+    # (2, 7) adds count-sorted runs at tiles 1 and d, the others slot views
+    size = d**n
+    a = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    a[::3] = complex(-0.0, 1)
+    a[1::5] = complex(-0.5, -0.0)
+    a[2::7] = complex(-0.0, -0.0)
+    a[3::11] = complex(0.0, -2.5)
+    v = DenseVector(d, n, a)
+    for tile in (1, d, oracle.APPLY_TILE):
+        monkeypatch.setattr(oracle, "APPLY_TILE", tile)
+        for k in range(d):
+            want = []
+            for x in range(size):
+                c, rest = 0, x
+                for _ in range(n):
+                    c += rest % d == k
+                    rest //= d
+                z = 0j
+                for _ in range(c):
+                    z += complex(a[x])
+                want.append(complex(z.real / n, z.imag / n))
+            got = dense_apply_frequency(k, v).amps
+            assert got.tobytes() == np.array(want).tobytes(), (tile, k)
 
 
 def test_a_live_index_beside_an_exact_one_is_walked(monkeypatch):
