@@ -10,7 +10,7 @@ a real cross-check. Capped at ``d**N <= 2**20`` amplitudes.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -21,7 +21,6 @@ DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
 EIGEN_COLUMNS = 2**10  # columns per eigencheck slice, so its memory does not grow with d**N
 APPLY_TILE = 2**14   # most amplitudes per cache tile of the dense apply and power (256 KiB)
-_PAIRWISE_BLOCK = 128  # numpy sums at most this many parts without a pairwise split
 
 
 def _dense_size(d: int, n_slots: int) -> int:
@@ -352,74 +351,33 @@ def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray,
     return eigs, worst
 
 
-def _pairwise_sum(runs: Iterable[np.ndarray], n: int) -> float:
-    """numpy's pairwise sum of ``n`` floats that arrive as consecutive runs.
-
-    ``np.sum`` of a contiguous float64 array of more than
-    ``_PAIRWISE_BLOCK`` parts adds the sum of its first ``n // 2`` parts,
-    rounded down to a multiple of 8, to the sum of the rest; a shorter
-    array it sums with eight running sums. Where a part of that split lies
-    inside one run, numpy sums it on the run, as it depends only on the
-    length; a part that crosses the end of a run is split here, or, when
-    short, gathered from the runs it spans and summed by numpy. The bits
-    are those of ``np.sum`` over the whole array. Each run is read before
-    the next is drawn, so the runs may share one buffer.
-    """
-    runs = iter(runs)
-    run, lo = next(runs), 0  # the current run and the index of its first part
-    gathered = np.empty(_PAIRWISE_BLOCK)
-
-    def seek(start: int) -> None:
-        nonlocal run, lo
-        while start >= lo + run.size:
-            lo += run.size
-            run = next(runs)
-
-    def part(start: int, length: int) -> np.float64:
-        seek(start)
-        if start + length <= lo + run.size:
-            return run[start - lo : start + length - lo].sum()
-        if length > _PAIRWISE_BLOCK:
-            half = length // 2
-            half -= half % 8
-            return part(start, half) + part(start + half, length - half)
-        buf = gathered[:length]
-        at = start
-        while at < start + length:
-            seek(at)
-            take = min(start + length, lo + run.size) - at
-            buf[at - start : at - start + take] = run[at - lo : at - lo + take]
-            at += take
-        return buf.sum()
-
-    return float(part(0, n))
-
-
 def dense_deviation(
     s: StateVector, k: int, n_slots: int, basis: UnitaryMatrix | None = None
 ) -> float:
     """``|| (f - p) |s>^N ||`` computed entirely in the dense representation.
 
     ``|s>^N`` is the only array of ``d**N`` amplitudes. Each tile of
-    ``f |s>^N`` is checked finite, has ``p`` times its tile of ``|s>^N``
-    subtracted and is squared in place while it is in cache, and the squared
-    parts are summed in numpy's pairwise split over the whole vector
-    (``_pairwise_sum``): the bits of ``np.sum`` over all ``2 d**N`` parts,
-    with no BLAS reduction, whose bits would depend on the thread count.
+    ``f |s>^N`` has ``p`` times its tile of ``|s>^N`` subtracted and is
+    squared in place while it is in cache; numpy sums each tile's squares,
+    with no BLAS reduction, whose bits would depend on the thread count,
+    and ``math.fsum`` adds the tile sums exactly rounded. The bits are fixed
+    for a given ``APPLY_TILE``. Every square is at least 0 or NaN, so an
+    inf or NaN amplitude makes the total non-finite, and that one check
+    stands in for a check of every tile.
     """
     kvec = _measurement_vector(k, s.dim, basis)
     p = abs(complex(np.vdot(kvec, s.amps))) ** 2
     v = kron_power(s, n_slots)
     scratch = np.empty(min(APPLY_TILE, v.amps.size), dtype=v.amps.dtype)
-
-    def squares() -> Iterator[np.ndarray]:
-        for block, o in _frequency_tiles(kvec, v):
-            _require_finite(o)
-            diff = scratch[: o.size]
-            np.multiply(v.amps[block], p, out=diff)
-            np.subtract(o, diff, out=diff)
-            sq = diff.view(np.float64)
-            np.multiply(sq, sq, out=sq)
-            yield sq
-
-    return math.sqrt(_pairwise_sum(squares(), 2 * v.amps.size))
+    sums = []
+    for block, o in _frequency_tiles(kvec, v):
+        diff = scratch[: o.size]
+        np.multiply(v.amps[block], p, out=diff)
+        np.subtract(o, diff, out=diff)
+        sq = diff.view(np.float64)
+        np.multiply(sq, sq, out=sq)
+        sums.append(sq.sum())
+    total = math.fsum(sums)
+    if not math.isfinite(total):
+        raise ValueError("amplitudes contain non-finite entries")
+    return math.sqrt(total)

@@ -331,7 +331,8 @@ def test_sample_seed_must_fit_a_128_bit_philox_key(runner):
 
 
 def test_sample_refuses_more_draws_than_the_bound_before_drawing(runner, monkeypatch):
-    # 10**9 draws take about half a minute; a larger --n is refused at once
+    # 10**9 draws take 10-14 s at d = 2 and about 30 s at d = 5000; a larger
+    # --n is refused at once
     def no_generator(*args, **kwargs):
         raise AssertionError("a generator was made")
 

@@ -314,37 +314,45 @@ def test_a_live_index_beside_an_exact_one_is_walked(monkeypatch):
             )
 
 
-def test_dense_deviation_has_the_bits_of_one_sum_over_the_whole_vector(rng, monkeypatch):
+def test_dense_deviation_is_within_4_ulps_of_the_exactly_rounded_sum(rng, monkeypatch):
     # the reference builds f|s^N> and the squared difference in full and
-    # sums it with numpy at once; the deviation sums it tile by tile in the
-    # same pairwise split. Tiles of a few amplitudes put one 128-part run of
-    # that split across many tiles
+    # sums it exactly rounded, so its bits do not depend on the tile; the
+    # deviation adds numpy's tile sums exactly rounded. A vector of one tile
+    # keeps the bits of one np.sum over the whole vector. Tiles of a few
+    # amplitudes split the vector into many sums
     cases = []
     for d, n in ((2, 7), (3, 5), (5, 3)):
         perm = UnitaryMatrix(np.eye(d)[:, np.roll(np.arange(d), 1)])
         s = random_state(d, rng)
         cases += [(s, n, basis) for basis in (None, perm, random_unitary(d, rng))]
-    for tile in (1, 2, 3, 4, 9, 25, 32, 81, 125, DENSE_CAP):
+    s = random_state(2, rng)
+    perm = UnitaryMatrix(np.eye(2)[:, ::-1])
+    big = [(s, 16, basis) for basis in (None, perm, random_unitary(2, rng))]
+    runs = [(tile, cases) for tile in (1, 2, 3, 4, 9, 25, 32, 81, 125)]
+    runs += [(oracle.APPLY_TILE, big), (DENSE_CAP, cases + big)]
+    for tile, shapes in runs:
         monkeypatch.setattr(oracle, "APPLY_TILE", tile)
-        for s, n, basis in cases:
+        for s, n, basis in shapes:
             v = kron_power(s, n)
             for k in range(s.dim):
                 kvec = _measurement_vector(k, s.dim, basis)
                 p = abs(complex(np.vdot(kvec, s.amps))) ** 2
                 diff = dense_apply_frequency(k, v, basis).amps - p * v.amps
-                sq = diff.view(np.float64)
-                want = math.sqrt((sq * sq).sum())
-                assert dense_deviation(s, k, n, basis) == want, (tile, s.dim, n, k)
+                sq = diff.view(np.float64) ** 2
+                want = math.sqrt(math.fsum(sq))
+                got = dense_deviation(s, k, n, basis)
+                where = (tile, s.dim, n, k)
+                assert abs(got - want) <= 4 * math.ulp(want), where
+                if v.amps.size <= tile:
+                    assert got == math.sqrt(sq.sum()), where
 
 
-def test_pairwise_sum_over_runs_is_numpy_sum(rng):
-    # runs of any length, down to one part, in any number
-    for n in (1, 7, 8, 128, 129, 136, 1000, 4099):
-        x = rng.random(n) * 10.0 ** rng.integers(-12, 12, n)
-        for _ in range(5):
-            cuts = rng.choice(np.arange(1, n), size=min(n - 1, rng.integers(40)), replace=False)
-            runs = np.split(x, np.sort(cuts))
-            assert oracle._pairwise_sum(runs, n) == x.sum(), n
+def test_dense_deviation_refuses_a_non_finite_tile(monkeypatch):
+    nan_vector = np.array([np.nan, 1.0])
+    monkeypatch.setattr(oracle, "_measurement_vector", lambda k, d, basis: nan_vector)
+    for n in (3, 16):  # one tile, then four
+        with pytest.raises(ValueError, match="non-finite"):
+            dense_deviation(StateVector.basis(2, 0), 0, n)
 
 
 def test_eigencheck_reports_a_nan_residual(monkeypatch):
