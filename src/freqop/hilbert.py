@@ -25,22 +25,13 @@ class TruthValue(enum.Enum):
     INDEFINITE = "indefinite"
 
 
-def _as_complex_vector(amps, what: str) -> np.ndarray:
-    a = np.asarray(amps, dtype=np.complex128)
-    if a.ndim != 1 or a.size == 0:
-        raise ValueError(f"{what} must be a non-empty 1-D sequence")
+def _as_complex_array(x, what: str, ndim: int) -> np.ndarray:
+    a = np.asarray(x, dtype=np.complex128)
+    if a.ndim != ndim or a.size == 0:
+        raise ValueError(f"{what} must form a non-empty {ndim}-D array")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise ValueError(f"{what} contain non-finite entries")
     return a
-
-
-def _as_complex_matrix(entries, what: str) -> np.ndarray:
-    m = np.asarray(entries, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"{what} must be a square 2-D array")
-    if not np.all(np.isfinite(m)):
-        raise ValueError(f"{what} contains non-finite entries")
-    return m
 
 
 def _divide(a: np.ndarray, n: int) -> None:
@@ -93,7 +84,7 @@ class StateVector:
     __slots__ = ("_amps",)
 
     def __init__(self, amps, *, normalize: bool = False):
-        a = _as_complex_vector(amps, "state amplitudes")
+        a = _as_complex_array(amps, "state amplitudes", 1)
         self._amps = _unit_amplitudes(a, normalize)
 
     @property
@@ -121,7 +112,10 @@ class _SquareMatrix:
     __slots__ = ("_entries",)
 
     def __init__(self, entries):
-        m = _as_complex_matrix(entries, type(self).__name__ + " entries")
+        what = type(self).__name__ + " entries"
+        m = _as_complex_array(entries, what, 2)
+        if m.shape[0] != m.shape[1]:
+            raise ValueError(f"{what} must be a square 2-D array")
         self._check(m)
         m = m.copy()
         m.setflags(write=False)

@@ -10,6 +10,7 @@ a real cross-check. Capped at ``d**N <= 2**20`` amplitudes.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterator
 
 import numpy as np
@@ -24,6 +25,8 @@ APPLY_TILE = 2**14   # most amplitudes per cache tile of the dense apply and pow
 
 
 def _dense_size(d: int, n_slots: int) -> int:
+    # Python ints, so a numpy integer cannot wrap the power around in int64
+    d, n_slots = operator.index(d), operator.index(n_slots)
     if d < 1 or n_slots < 1:
         raise ValueError("need d >= 1 and n_slots >= 1")
     # 2**20 is the cap, so no d >= 2 fits more slots; 1**N never passes it,

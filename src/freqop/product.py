@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .hilbert import HERMITIAN_TOL, StateVector, _as_complex_vector, _divide, _unit_amplitudes
+from .hilbert import HERMITIAN_TOL, StateVector, _as_complex_array, _divide, _unit_amplitudes
 
 
 TAIL_EPS = 1e-12  # tails with |<tail_a|tail_b> - 1| <= TAIL_EPS count as equal
@@ -36,7 +36,7 @@ def _slot_array(slot, what: str) -> np.ndarray:
     if isinstance(slot, StateVector):
         a = slot.amps.copy()
     else:
-        a = _as_complex_vector(slot, what).copy()
+        a = _as_complex_array(slot, what, 1).copy()
     a.setflags(write=False)
     return a
 
@@ -164,11 +164,11 @@ class ProductTerm:
         c = complex(coeff)
         if not (math.isfinite(c.real) and math.isfinite(c.imag)):
             raise ValueError("coeff must be finite")
-        tail_arr = _unit_amplitudes(_slot_array(tail, "tail"), False, "tail")
+        tail_arr = _unit_amplitudes(_slot_array(tail, "tail amplitudes"), False, "tail")
         d = tail_arr.size
         vecs = []
         for alpha, s in enumerate(prefix, start=1):
-            a = _slot_array(s, f"prefix slot {alpha}")
+            a = _slot_array(s, f"prefix slot {alpha} amplitudes")
             if a.size != d:
                 raise ValueError(
                     f"prefix slot {alpha} has dim {a.size}, tail has dim {d}"

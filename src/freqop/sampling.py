@@ -20,6 +20,7 @@ every comparison is the one a search of the unscaled edges would make.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,13 @@ def outcome_probabilities(
     return np.abs((basis.entries.conj() * s.amps[:, None]).sum(axis=0)) ** 2
 
 
+def _integer(x) -> int | None:
+    """``x`` as an ``int`` if it is an integer of any type but ``bool``, else None."""
+    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
+        return int(x)
+    return None
+
+
 def sample_ensemble(
     s: StateVector,
     n_samples: int,
@@ -73,9 +81,10 @@ def sample_ensemble(
     spread ``sqrt(p(1-p)/n)``; the returned z-scores measure each count
     against that. Identical arguments give an identical record.
     """
-    if not 1 <= n_samples <= MAX_DRAWS:
+    n_samples, seed = _integer(n_samples), _integer(seed)
+    if n_samples is None or not 1 <= n_samples <= MAX_DRAWS:
         raise ValueError(f"n_samples must be in 1..{MAX_DRAWS}")
-    if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**128:
+    if seed is None or not 0 <= seed < 2**128:
         raise ValueError("seed must be an integer in 0..2**128 - 1")
     p = outcome_probabilities(s, basis)
     d = p.size

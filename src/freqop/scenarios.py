@@ -20,6 +20,7 @@ from .hilbert import (
     Projector,
     StateVector,
     TruthValue,
+    _as_complex_array,
     _projected_truth,
     _unit_amplitudes,
     truth_value,
@@ -42,11 +43,7 @@ class BipartiteState:
     __slots__ = ("_amps",)
 
     def __init__(self, amps, *, normalize: bool = False):
-        m = np.asarray(amps, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
-            raise ValueError("amplitudes must form a non-empty 2-D array")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("amplitudes contain non-finite entries")
+        m = _as_complex_array(amps, "amplitudes", 2)
         self._amps = _unit_amplitudes(m, normalize)
 
     @property
@@ -107,14 +104,15 @@ def condition_on(state: BipartiteState, side: str, p: Projector) -> BipartiteSta
     return BipartiteState(v / n)
 
 
-def _phase_free_residual(state: BipartiteState, target: np.ndarray) -> float:
-    # Distance to the unit target minimized over a global phase. The phase
-    # that attains the minimum is the overlap's own; subtracting the rotated
-    # target componentwise keeps the result at roundoff scale for near-equal
+def _phase_free_residual(state: BipartiteState, i: int, j: int) -> float:
+    # Distance to the product |i>|j> minimized over a global phase. The phase
+    # that attains the minimum is the overlap amps[i, j]'s own; subtracting
+    # it componentwise keeps the result at roundoff scale for near-equal
     # states, where sqrt(2 - 2|overlap|) would amplify rounding to ~1e-8.
-    overlap = complex(np.sum(np.conj(target) * state.amps))
-    phase = overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0
-    return float(np.linalg.norm(state.amps - phase * target))
+    overlap = complex(state.amps[i, j])
+    diff = state.amps.copy()
+    diff[i, j] -= overlap / abs(overlap) if abs(overlap) > 0.0 else 1.0
+    return float(np.linalg.norm(diff))
 
 
 @dataclass(frozen=True)
@@ -153,24 +151,20 @@ def _qubit_basis() -> tuple[Projector, Projector]:
 
 def epr_pair(alpha: complex, beta: complex) -> BipartiteState:
     """``alpha |up down> + beta |down up>`` with index 0 = up, 1 = down."""
-    m = np.zeros((2, 2), dtype=np.complex128)
-    m[0, 1] = alpha
-    m[1, 0] = beta
-    return BipartiteState(m)
+    return BipartiteState([[0, alpha], [beta, 0]])
 
 
-def epr_check(
-    alpha: complex,
-    beta: complex,
-    product_tol: float = PRODUCT_TOL,
-) -> EprReport:
+def epr_check(alpha: complex, beta: complex) -> EprReport:
     """Spin-pair conditioning: indefinite singly, definite after a record.
 
     Before any measurement no spin proposition about either particle is
     definite. Conditioning on "first spin up" leaves the product state
-    ``|up>|down>``, making "second spin down" TRUE. ``alpha`` and ``beta``
-    must have unit norm, and a pair for which any of the four propositions
-    is already definite is refused: that scenario would be empty.
+    ``|up>|down>``, making "second spin down" TRUE; the check passes when it
+    does and the residual to that product is at most ``PRODUCT_TOL``
+    (``verify-all --tolerance`` reaches the residual only through
+    `verify.judge`). ``alpha`` and ``beta`` must have unit norm, and a pair
+    for which any of the four propositions is already definite is refused:
+    that scenario would be empty.
     """
     alpha, beta = _unit_weights(alpha, beta)
     state = epr_pair(alpha, beta)
@@ -182,10 +176,8 @@ def epr_check(
         raise ValueError("both branches must carry weight; got a definite pair")
     conditioned = condition_on(state, "first", p_up)
     post = subsystem_truth_value(conditioned, "second", p_down)
-    target = np.zeros((2, 2), dtype=np.complex128)
-    target[0, 1] = 1.0
-    residual = _phase_free_residual(conditioned, target)
-    passed = post is TruthValue.TRUE and residual <= product_tol
+    residual = _phase_free_residual(conditioned, 0, 1)
+    passed = post is TruthValue.TRUE and residual <= PRODUCT_TOL
     return EprReport(
         alpha=alpha,
         beta=beta,
@@ -224,11 +216,7 @@ class WignerReport:
     passed: bool
 
 
-def wigner_friend_check(
-    alpha: complex,
-    beta: complex,
-    product_tol: float = PRODUCT_TOL,
-) -> WignerReport:
+def wigner_friend_check(alpha: complex, beta: complex) -> WignerReport:
     """An observer inside the box, described from outside.
 
     The sealed laboratory ends in ``alpha |a>|A> + beta |b>|B>``: object
@@ -238,15 +226,14 @@ def wigner_friend_check(
     surviving branch the outside description (conditioned composite, with
     the projector extended by the identity) and the inside description
     (conditioned object state alone) assign identical truth values to both
-    object basis propositions. Each branch's weight is the corresponding
-    amplitude squared; a branch whose record proposition is FALSE on the
-    composite, the point at which `condition_on` refuses, is left out.
+    object basis propositions; a branch is consistent when they agree and
+    its residual to the product is at most ``PRODUCT_TOL``, as in
+    `epr_check`. Each branch's weight is the corresponding amplitude squared;
+    a branch whose record proposition is FALSE on the composite, the point
+    at which `condition_on` refuses, is left out.
     """
     alpha, beta = _unit_weights(alpha, beta)
-    m = np.zeros((2, 2), dtype=np.complex128)
-    m[0, 0] = alpha
-    m[1, 1] = beta
-    composite = BipartiteState(m)
+    composite = BipartiteState([[alpha, 0], [0, beta]])
     basis = _qubit_basis()
     pre_a, pre_b = (subsystem_truth_value(composite, "first", p) for p in basis)
     branches = []
@@ -255,14 +242,12 @@ def wigner_friend_check(
             continue
         conditioned = condition_on(composite, "second", p_rec)
         object_state = StateVector(conditioned.amps[:, j], normalize=True)
-        target = np.zeros((2, 2), dtype=np.complex128)
-        target[j, j] = 1.0
-        residual = _phase_free_residual(conditioned, target)
+        residual = _phase_free_residual(conditioned, j, j)
         composite_tv = tuple(
             subsystem_truth_value(conditioned, "first", p) for p in basis
         )
         object_tv = tuple(truth_value(object_state, p) for p in basis)
-        consistent = composite_tv == object_tv and residual <= product_tol
+        consistent = composite_tv == object_tv and residual <= PRODUCT_TOL
         branches.append(
             WignerBranch(
                 reply=reply,

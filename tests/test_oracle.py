@@ -438,6 +438,15 @@ def test_dense_results_are_not_copied():
 def test_matrix_cap():
     with pytest.raises(ValueError, match="cap"):
         dense_frequency_matrix(0, 11, 2)
+    # numpy integers are refused as Python ints are: in int64, d**n_slots
+    # wraps to 0 at (2**32)**2 and to a negative size at 9**20
+    for d, n in ((2**32, 2), (9, 20), (2**22, 3)):
+        with pytest.raises(ValueError, match="cap"):
+            oracle._dense_size(np.int64(d), np.int64(n))
+        with pytest.raises(ValueError, match="cap"):
+            eigencheck_standard_basis(0, np.int64(n), np.int64(d))
+        with pytest.raises(ValueError, match="cap"):
+            dense_spectrum(0, np.int64(n), np.int64(d))
 
 
 def test_dense_deviation_against_matrix_route(rng):

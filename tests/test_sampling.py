@@ -162,6 +162,12 @@ def test_large_run_stays_within_five_sigma(rng):
 def test_input_validation():
     with pytest.raises(ValueError, match="n_samples"):
         sample_ensemble(S68, 0, seed=1)
+    with pytest.raises(ValueError, match="n_samples"):
+        sample_ensemble(S68, True, seed=1)
+    # a numpy integer is an integer: the same record as the int seed
+    record = sample_ensemble(S68, np.int64(10), seed=np.int64(3))
+    assert record == sample_ensemble(S68, 10, seed=3)
+    assert type(record.seed) is int and type(record.n_samples) is int
     with pytest.raises(ValueError, match="seed"):
         sample_ensemble(S68, 10, seed=-1)
     with pytest.raises(ValueError, match="seed"):

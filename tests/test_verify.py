@@ -1,6 +1,10 @@
+import math
+
+import numpy as np
 import pytest
 
 from freqop import verify
+from freqop.scenarios import wigner_friend_check
 from freqop.verify import run_all
 
 
@@ -13,11 +17,26 @@ def test_all_suites_pass_at_defaults():
 
 def test_runs_are_deterministic():
     assert run_all(seed=11) == run_all(seed=11)
+    # a numpy integer seed runs the same inputs, the sampling suite's included
+    assert run_all(seed=np.int64(11)) == run_all(seed=11)
 
 
-def test_overtight_tolerance_reports_failures():
+def test_overtight_tolerance_reports_failures(monkeypatch):
+    reports = []
+
+    def recorded(alpha, beta):
+        reports.append(wigner_friend_check(alpha, beta))
+        return reports[-1]
+
+    monkeypatch.setattr(verify, "wigner_friend_check", recorded)
     results = run_all(seed=42, tolerance=1e-16)
     assert sum(r.failures for r in results) > 0
+    # a case beyond the tolerance still reports the error it measured
+    assert all(math.isfinite(r.max_error) for r in results)
+    (wigner,) = (r for r in results if r.suite == "wigner")
+    assert wigner.failures > 0
+    worst = max(b.product_residual for rep in reports for b in rep.branches)
+    assert wigner.max_error == worst
 
 
 def test_seed_outside_the_key_range_is_refused_before_any_suite(monkeypatch):
@@ -27,6 +46,6 @@ def test_seed_outside_the_key_range_is_refused_before_any_suite(monkeypatch):
         raise AssertionError("a suite ran")
 
     monkeypatch.setattr(verify, "_rng", no_suite)
-    for bad in (-1, 2**63, 2**63 + 1):
+    for bad in (-1, 2**63, 2**63 + 1, True):
         with pytest.raises(ValueError, match="seed"):
             run_all(seed=bad)
