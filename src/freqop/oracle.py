@@ -20,7 +20,7 @@ from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
-EIGEN_COLUMNS = 2**10  # columns per eigencheck slice, so its memory does not grow with d**N
+EIGEN_COLUMNS = 2**10  # columns per slice of f read by index, so memory does not grow with d**N
 APPLY_TILE = 2**14   # most amplitudes per cache tile of the dense apply and power (256 KiB)
 
 
@@ -151,19 +151,19 @@ def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
 
 def _frequency_entries(
     kvec: np.ndarray, n_slots: int, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows and values of the entries of ``N f`` in ``cols``, each ``(cols.size, N, d)``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of ``N f`` in ``cols``, as ``(place, digits, vals)``.
 
-    ``[j, alpha, i]``: ``kvec[i] conj(kvec[c_alpha])`` at ``c = cols[j]``
-    with slot ``alpha`` set to ``i``; distinct rows but for the diagonal
-    ``i = c_alpha``.
+    Column ``c = cols[j]`` has digit ``digits[j, alpha, 0]`` at slot alpha,
+    whose place value is ``place[alpha, 0]``. ``vals[j, alpha, i]`` is
+    ``kvec[i] conj(kvec[digit])``, the entry at the row that is ``c`` with
+    slot alpha set to ``i``: distinct rows but for the diagonal
+    ``i = digit``.
     """
     d = kvec.size
-    cols = cols[:, None, None]
     place = d ** np.arange(n_slots - 1, -1, -1)[:, None]  # slot 1 varies slowest
-    digits = cols // place % d
-    rows = cols + (np.arange(d) - digits) * place
-    return rows, kvec * kvec.conj()[digits]
+    digits = cols[:, None, None] // place % d
+    return place, digits, kvec * kvec.conj()[digits]
 
 
 def _frequency_tiles(
@@ -294,20 +294,65 @@ def dense_apply_frequency(
     return DenseVector._adopt(v.d, v.n_slots, out)
 
 
+def _matrix_size(d: int, n_slots: int) -> int:
+    size = _dense_size(d, n_slots)
+    if size > MATRIX_CAP:
+        raise ValueError(f"matrix side {size} exceeds the cap {MATRIX_CAP}")
+    return size
+
+
 def dense_frequency_matrix(
     k: int, n_slots: int, d: int, basis: UnitaryMatrix | None = None
 ) -> np.ndarray:
     """The full ``d**N x d**N`` frequency operator matrix (small N only)."""
-    size = _dense_size(d, n_slots)
-    if size > MATRIX_CAP:
-        raise ValueError(f"matrix side {size} exceeds the cap {MATRIX_CAP}")
+    size = _matrix_size(d, n_slots)
     kvec = _measurement_vector(k, d, basis)
     cols = np.arange(size)
-    rows, vals = _frequency_entries(kvec, n_slots, cols)
+    place, digits, vals = _frequency_entries(kvec, n_slots, cols)
+    rows = cols[:, None, None] + (np.arange(d) - digits) * place
     m = np.zeros((size, size), dtype=np.complex128)
     np.add.at(m, (rows, cols[:, None, None]), vals)
     _divide(m, n_slots)
     return m
+
+
+def _column_slices(
+    kvec: np.ndarray, n_slots: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The entries of ``f``, ``EIGEN_COLUMNS`` columns at a time.
+
+    Each slice comes as ``(cols, diag, off)``: the column indices, the
+    diagonal entries of those columns and, per column, the ``N d`` values
+    of `_frequency_entries` with the diagonal ones set to 0, all divided by
+    N. Every off-diagonal value lands on its own row, so these are the
+    matrix's off-diagonal entries, zero or not. The diagonal adds one value
+    per slot, slot by slot from +0, as ``np.add.at`` adds them into the
+    matrix, so it has the matrix's bits.
+    """
+    d = kvec.size
+    size = d**n_slots
+    for start in range(0, size, EIGEN_COLUMNS):
+        cols = np.arange(start, min(start + EIGEN_COLUMNS, size))
+        _, digits, vals = _frequency_entries(kvec, n_slots, cols)
+        diag = np.zeros(cols.size, dtype=np.complex128)
+        for v in np.take_along_axis(vals, digits, axis=2).T[0]:
+            diag += v
+        _divide(diag, n_slots)
+        off = np.where(np.arange(d) == digits, 0, vals).reshape(cols.size, -1)
+        _divide(off, n_slots)
+        yield cols, diag, off
+
+
+def _diagonal_spectrum(kvec: np.ndarray, n_slots: int) -> np.ndarray | None:
+    """The sorted real diagonal of ``f``, or None once a slice shows an
+    off-diagonal entry that is not exactly zero."""
+    eigs = np.empty(kvec.size**n_slots)
+    for cols, diag, off in _column_slices(kvec, n_slots):
+        if off.any():
+            return None
+        eigs[cols] = diag.real
+    eigs.sort()
+    return eigs
 
 
 def dense_spectrum(
@@ -315,16 +360,18 @@ def dense_spectrum(
 ) -> np.ndarray:
     """Ascending eigenvalues of the dense frequency operator.
 
-    A matrix without an off-diagonal entry (the standard basis, or one that
-    permutes it) is its own eigendecomposition: its sorted real diagonal is
-    returned, which are the bits ``eigvalsh`` gives for it. Any other matrix
-    goes through ``eigvalsh``.
+    A matrix without an off-diagonal entry (the standard basis, one that
+    permutes it, or either with phases) is its own eigendecomposition: its
+    sorted real diagonal is returned, which are the bits ``eigvalsh`` gives
+    for it. That is decided from column slices (`_column_slices`), with no
+    matrix. Any other matrix is built and goes through ``eigvalsh``; the
+    slices are dropped first.
     """
-    m = dense_frequency_matrix(k, n_slots, d, basis)
-    diag = m.diagonal()
-    if np.count_nonzero(m) == np.count_nonzero(diag):
-        return np.sort(diag.real)
-    return np.linalg.eigvalsh(m)
+    _matrix_size(d, n_slots)
+    eigs = _diagonal_spectrum(_measurement_vector(k, d, basis), n_slots)
+    if eigs is not None:
+        return eigs
+    return np.linalg.eigvalsh(dense_frequency_matrix(k, n_slots, d, basis))
 
 
 def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray, float]:
@@ -333,20 +380,12 @@ def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray,
     Returns ``lambda_j = Re f_jj`` for each ``e_j`` and the worst residual
     ``||f e_j - lambda_j e_j||``: this checks, beyond the matrix cap, rather
     than assumes that the standard basis diagonalizes the operator. The
-    columns are read ``EIGEN_COLUMNS`` at a time.
+    columns are read ``EIGEN_COLUMNS`` at a time (`_column_slices`).
     """
     size = _dense_size(d, n_slots)
-    kvec = _measurement_vector(k, d, None)
     eigs = np.empty(size)
     worst = 0.0
-    for start in range(0, size, EIGEN_COLUMNS):
-        cols = np.arange(start, min(start + EIGEN_COLUMNS, size))
-        rows, vals = _frequency_entries(kvec, n_slots, cols)
-        on_diag = rows == cols[:, None, None]
-        diag = np.where(on_diag, vals, 0).sum(axis=(1, 2))
-        _divide(diag, n_slots)
-        off = np.where(on_diag, 0, vals).reshape(cols.size, -1)
-        _divide(off, n_slots)
+    for cols, diag, off in _column_slices(_measurement_vector(k, d, None), n_slots):
         residuals = np.linalg.norm(np.column_stack([off, diag.imag]), axis=1)
         eigs[cols] = diag.real
         # np.maximum, unlike max, keeps a NaN residual as the worst

@@ -365,10 +365,15 @@ def _class_factors(ca: _TailClass, cb: _TailClass):
     else:
         owner_b = np.arange(cb.counts.size).repeat(cb.counts)
         max_count_b = int(cb.counts.max(initial=0))
-    xa = _dot(cb.tail, ca.vecs).conj()
     yb = _dot(ca.tail, cb.vecs)
-    x = _segment_products(xa, ca.offsets[:-1], ca.counts, max_count_a)
     y = _segment_products(yb, cb.offsets[:-1], cb.counts, max_count_b)
+    if cb is ca:
+        # conjugation commutes with every product, so x = conj(y) factor by
+        # factor, up to the sign of a zero part
+        xa, x = yb.conj(), y.conj()
+    else:
+        xa = _dot(cb.tail, ca.vecs).conj()
+        x = _segment_products(xa, ca.offsets[:-1], ca.counts, max_count_a)
     # every meeting (edit e of a, edit f of b) on one slot, in a's edit
     # order: b's edits sorted by slot, stably, then searched
     order = cb.slots.argsort(kind="stable")
@@ -428,12 +433,21 @@ def _class_pair_sums(a: ProductState, b: ProductState):
             x, y, (i, j, g) = _class_factors(ka, kb)
             ca, cb = ka.coeff.conj(), kb.coeff
             # one pass of products: conj(c_i) x_i, c_j y_j, then per shared
-            # pair conj(c_i) c_j and x_i y_j
-            t_a, t_b = x.size, x.size + y.size
-            prod = _cmul(np.concatenate((ca, cb, ca[i], x[i])),
-                         np.concatenate((x, y, cb[j], y[j])))
-            yield (m, n, prod[:t_a].cumsum(), prod[t_a:t_b].cumsum(), i, j,
-                   _cmul(prod[t_b:t_b + i.size], g - prod[t_b + i.size:]))
+            # pair conj(c_i) c_j and x_i y_j. In a class joined with itself
+            # conj(c_i) x_i = conj(c_i y_i), so sa is conj(sb), up to the
+            # sign of a zero part, and only sb is computed
+            if kb is ka:
+                t = y.size
+                prod = _cmul(np.concatenate((cb, ca[i], x[i])),
+                             np.concatenate((y, cb[j], y[j])))
+                sb = prod[:t].cumsum()
+                sa = sb.conj()
+            else:
+                t = x.size + y.size
+                prod = _cmul(np.concatenate((ca, cb, ca[i], x[i])),
+                             np.concatenate((x, y, cb[j], y[j])))
+                sa, sb = prod[:x.size].cumsum(), prod[x.size:t].cumsum()
+            yield m, n, sa, sb, i, j, _cmul(prod[t:t + i.size], g - prod[t + i.size:])
 
 
 def _total(parts: list) -> complex:

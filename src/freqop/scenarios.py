@@ -133,13 +133,14 @@ class EprReport:
 
 def _unit_weights(alpha: complex, beta: complex) -> tuple[complex, complex]:
     """``alpha`` and ``beta`` as complex numbers, refused unless their norm is
-    1 within ``NORM_TOL``, as `hilbert` judges a state."""
+    1 within ``NORM_TOL``, as `hilbert` judges a state; a NaN weight fails
+    that comparison."""
     alpha, beta = complex(alpha), complex(beta)
     try:
         total = abs(alpha) ** 2 + abs(beta) ** 2
     except OverflowError:  # a huge but finite amplitude
         total = math.inf
-    if abs(math.sqrt(total) - 1.0) > NORM_TOL:
+    if not abs(math.sqrt(total) - 1.0) <= NORM_TOL:
         raise ValueError(f"|alpha|^2 + |beta|^2 = {total:.12g} is not 1")
     return alpha, beta
 

@@ -261,6 +261,16 @@ def test_wigner_single_branch_pair(runner):
     assert result.exit_code == 0
 
 
+@pytest.mark.parametrize("command, alpha, beta", [("epr", "nan", "0.8"), ("wigner", "0.6", "nan")])
+def test_nan_weights_are_refused_as_weights(runner, command, alpha, beta):
+    # abs(nan - 1) > tol is False: a NaN weight must fail the norm check
+    # itself, not reach the state constructor
+    result = runner.invoke(main, [command, "--alpha", alpha, "--beta", beta])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "|alpha|^2 + |beta|^2 = nan is not 1" in result.stderr
+
+
 def test_sample_deterministic_output(runner):
     args = ["sample", "--amps", "0.6;0.8", "--n", "20000", "--seed", "9"]
     first = runner.invoke(main, args)

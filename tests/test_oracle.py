@@ -397,12 +397,15 @@ _DIAGONAL_CASES = [
 
 
 def test_dense_spectrum_is_eigvalsh_bit_for_bit(rng, monkeypatch):
-    # a diagonal matrix (standard or permutation basis) is not solved; a
+    # a diagonal matrix (standard or permutation basis, either with phases,
+    # whose diagonal entries are |phase|^2 added N times) is not solved; a
     # Haar basis gives off-diagonal entries, so its matrix is
     cases = [(d, n, k, None, False) for d, n, k in _DIAGONAL_CASES]
-    for d, n in ((2, 5), (3, 4), (5, 3)):
-        shift = UnitaryMatrix(np.roll(np.eye(d), 1, axis=1))
-        cases += [(d, n, k, shift, False) for k in range(d)]
+    for d, n, ks in ((2, 5, range(2)), (3, 4, range(3)), (5, 3, range(5)), (2, 10, (1,)), (32, 2, (7,))):
+        shift = np.roll(np.eye(d), 1, axis=1)
+        phases = np.exp(2j * np.pi * rng.random(d))
+        for b in (shift, np.diag(phases), shift * phases):
+            cases += [(d, n, k, UnitaryMatrix(b), False) for k in ks]
     cases.append((2, 5, 1, random_unitary(2, rng), True))
     eigvalsh = np.linalg.eigvalsh
     calls = []
@@ -433,6 +436,13 @@ def test_dense_results_are_not_copied():
     assert _traced_peak(lambda: dense_apply_frequency(0, v)) <= 18 * 2**20
     assert _traced_peak(lambda: kron_power(s, 20)) <= 18 * 2**20
     assert _traced_peak(lambda: dense_deviation(s, 0, 20)) <= 18 * 2**20
+
+
+def test_diagonal_spectrum_builds_no_matrix():
+    # the 1024 x 1024 matrix alone is 16 MiB; the standard-basis spectrum
+    # reads EIGEN_COLUMNS columns at a time and keeps the 8 KiB diagonal
+    for k in (0, 1):
+        assert _traced_peak(lambda: dense_spectrum(k, 10, 2)) <= 2 * 2**20
 
 
 def test_matrix_cap():

@@ -7,11 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqop.frequency import FrequencySpec, apply_frequency
-from freqop.hilbert import StateVector
+from freqop.hilbert import StateVector, random_state, random_unitary
 from freqop.oracle import dense_embed, dense_inner
 from freqop.product import (
     ProductState,
     ProductTerm,
+    _class_pair_sums,
+    _TailClass,
     _real_square,
     _self_product,
     _self_products,
@@ -233,6 +235,33 @@ def test_property_fused_self_products_keep_the_bits(head, rest):
     # its own scalar product, whatever rest adds to head's classes
     total = add(head, rest)
     assert _self_products(head, total) == (_self_product(head), _self_product(total))
+
+
+def test_a_class_joined_with_itself_has_the_bits_of_a_join_with_its_copy(rng):
+    # a self-join takes x = conj(y) and sa = conj(sb) instead of computing
+    # them; against a distinct copy of the classes both are computed. sb and
+    # the shared pairs keep every bit; sa and the corrections may differ in
+    # the sign of a zero part (conj(+0) is -0: sa does for (0.6, 0.8i) in the
+    # standard basis), so they are compared with +0 added; the totals, which
+    # start at +0, keep every bit
+    for s, basis in ((random_state(3, rng), random_unitary(3, rng)), (StateVector([0.6, 0.8j]), None)):
+        psi = ensemble(s)
+        phi = apply_frequency(FrequencySpec(1, 5, basis), apply_frequency(FrequencySpec(0, 3), psi))
+        a = add(phi, scale(psi, 0.3 - 0.1j))
+        assert max(c.counts.max() for c in a._classes) > 1
+        b = ProductState._of(
+            [_TailClass(c.tail.copy(), c.coeff.copy(), c.counts.copy(), c.slots.copy(), c.vecs.copy())
+             for c in a._classes], a.dim)
+        own, copied = list(_class_pair_sums(a, a)), list(_class_pair_sums(a, b))
+        assert len(own) == len(copied) > 0
+        for (m, n, sa, sb, i, j, corr), theirs in zip(own, copied):
+            assert (m, n) == theirs[:2]
+            for u, v in zip((sb, i, j), (theirs[3], theirs[4], theirs[5])):
+                assert u.tobytes() == v.tobytes()
+            for u, v in zip((sa, corr), (theirs[2], theirs[6])):
+                assert (u + 0).tobytes() == (v + 0).tobytes()
+        assert inner_infinite(a, a) == inner_infinite(a, b)
+        assert _self_products(phi, a) == (_self_product(phi), _self_product(a))
 
 
 def test_dead_tails_give_exact_zero_despite_huge_prefix():
