@@ -2,7 +2,8 @@
 
 States on N slots are expanded to full ``d**N`` amplitude vectors; the
 frequency operator is the mean over slots of one-slot projectors, applied
-slot by slot or read off entry by entry. Nothing here goes through the
+slot by slot, or read entry by entry off a ``d x d`` table of the entries
+one slot contributes. Nothing here goes through the
 product-state scalar product, so agreement between the two code paths is
 a real cross-check. Capped at ``d**N <= 2**20`` amplitudes.
 """
@@ -20,7 +21,7 @@ from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
-EIGEN_COLUMNS = 2**10  # columns per slice of f read by index, so memory does not grow with d**N
+EIGEN_COLUMNS = 2**10  # columns or table rows per slice of f, so memory does not grow with d**N
 APPLY_TILE = 2**14   # most amplitudes per cache tile of the dense apply and power (256 KiB)
 
 
@@ -149,21 +150,18 @@ def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
     return DenseVector._adopt(state.dim, n_slots, out)
 
 
-def _frequency_entries(
-    kvec: np.ndarray, n_slots: int, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of ``N f`` in ``cols``, as ``(place, digits, vals)``.
+def _off_diagonal(kvec: np.ndarray, n_slots: int, digits: np.ndarray) -> np.ndarray:
+    """``off[j, i] = kvec[i] conj(kvec[digits[j]]) / N``, 0 at ``i = digits[j]``.
 
-    Column ``c = cols[j]`` has digit ``digits[j, alpha, 0]`` at slot alpha,
-    whose place value is ``place[alpha, 0]``. ``vals[j, alpha, i]`` is
-    ``kvec[i] conj(kvec[digit])``, the entry at the row that is ``c`` with
-    slot alpha set to ``i``: distinct rows but for the diagonal
-    ``i = digit``.
+    A column whose slot reads ``digits[j]`` holds ``off[j, i]`` at the row
+    with that slot set to i. Each is added to +0 before the division, as into
+    a matrix of +0, so a -0 part reads +0.
     """
-    d = kvec.size
-    place = d ** np.arange(n_slots - 1, -1, -1)[:, None]  # slot 1 varies slowest
-    digits = cols[:, None, None] // place % d
-    return place, digits, kvec * kvec.conj()[digits]
+    off = kvec * kvec.conj()[digits, None]
+    off += 0
+    off[np.arange(digits.size), digits] = 0
+    _divide(off, n_slots)
+    return off
 
 
 def _frequency_tiles(
@@ -301,58 +299,47 @@ def _matrix_size(d: int, n_slots: int) -> int:
     return size
 
 
-def dense_frequency_matrix(
-    k: int, n_slots: int, d: int, basis: UnitaryMatrix | None = None
-) -> np.ndarray:
-    """The full ``d**N x d**N`` frequency operator matrix (small N only)."""
-    size = _matrix_size(d, n_slots)
-    kvec = _measurement_vector(k, d, basis)
-    cols = np.arange(size)
-    place, digits, vals = _frequency_entries(kvec, n_slots, cols)
-    rows = cols[:, None, None] + (np.arange(d) - digits) * place
-    m = np.zeros((size, size), dtype=np.complex128)
-    np.add.at(m, (rows, cols[:, None, None]), vals)
-    _divide(m, n_slots)
-    return m
-
-
 def _column_slices(
     kvec: np.ndarray, n_slots: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The entries of ``f``, ``EIGEN_COLUMNS`` columns at a time.
+    """The columns of ``f``, ``EIGEN_COLUMNS`` at a time, as ``(cols, digits, diag)``.
 
-    Each slice comes as ``(cols, diag, off)``: the column indices, the
-    diagonal entries of those columns and, per column, the ``N d`` values
-    of `_frequency_entries` with the diagonal ones set to 0, all divided by
-    N. Every off-diagonal value lands on its own row, so these are the
-    matrix's off-diagonal entries, zero or not. The diagonal adds one value
-    per slot, slot by slot from +0, as ``np.add.at`` adds them into the
-    matrix, so it has the matrix's bits.
+    ``digits[alpha, j]`` is the digit of column ``cols[j]`` at slot alpha
+    (slot 1 varies slowest). Its diagonal entry adds ``kvec[c] conj(kvec[c])``
+    for the digit c of each slot, in slot order from +0, and is divided by N.
     """
     d = kvec.size
-    size = d**n_slots
-    for start in range(0, size, EIGEN_COLUMNS):
-        cols = np.arange(start, min(start + EIGEN_COLUMNS, size))
-        _, digits, vals = _frequency_entries(kvec, n_slots, cols)
+    w = kvec * kvec.conj()
+    for start in range(0, d**n_slots, EIGEN_COLUMNS):
+        cols = np.arange(start, min(start + EIGEN_COLUMNS, d**n_slots))
+        digits = np.array(np.unravel_index(cols, (d,) * n_slots))
         diag = np.zeros(cols.size, dtype=np.complex128)
-        for v in np.take_along_axis(vals, digits, axis=2).T[0]:
+        for v in w[digits]:
             diag += v
         _divide(diag, n_slots)
-        off = np.where(np.arange(d) == digits, 0, vals).reshape(cols.size, -1)
-        _divide(off, n_slots)
-        yield cols, diag, off
+        yield cols, digits, diag
 
 
-def _diagonal_spectrum(kvec: np.ndarray, n_slots: int) -> np.ndarray | None:
-    """The sorted real diagonal of ``f``, or None once a slice shows an
-    off-diagonal entry that is not exactly zero."""
-    eigs = np.empty(kvec.size**n_slots)
-    for cols, diag, off in _column_slices(kvec, n_slots):
+def dense_frequency_matrix(
+    k: int, n_slots: int, d: int, basis: UnitaryMatrix | None = None
+) -> np.ndarray:
+    """The full ``d**N x d**N`` frequency operator matrix (small N only).
+
+    Each column of `_column_slices` gets its diagonal entry and writes every
+    nonzero `_off_diagonal` entry of its digits once, at its own row.
+    """
+    size = _matrix_size(d, n_slots)
+    kvec = _measurement_vector(k, d, basis)
+    off = _off_diagonal(kvec, n_slots, np.arange(d))
+    place = d ** np.arange(n_slots - 1, -1, -1)
+    m = np.zeros((size, size), dtype=np.complex128)
+    for cols, digits, diag in _column_slices(kvec, n_slots):
+        m[cols, cols] = diag
         if off.any():
-            return None
-        eigs[cols] = diag.real
-    eigs.sort()
-    return eigs
+            vals = off[digits]
+            alpha, j, i = np.nonzero(vals)
+            m[cols[j] + (i - digits[alpha, j]) * place[alpha], cols[j]] = vals[alpha, j, i]
+    return m
 
 
 def dense_spectrum(
@@ -363,15 +350,18 @@ def dense_spectrum(
     A matrix without an off-diagonal entry (the standard basis, one that
     permutes it, or either with phases) is its own eigendecomposition: its
     sorted real diagonal is returned, which are the bits ``eigvalsh`` gives
-    for it. That is decided from column slices (`_column_slices`), with no
-    matrix. Any other matrix is built and goes through ``eigvalsh``; the
-    slices are dropped first.
+    for it. That is read off the ``d x d`` table of `_off_diagonal` and the
+    column slices, with no matrix. Any other matrix goes through ``eigvalsh``.
     """
     _matrix_size(d, n_slots)
-    eigs = _diagonal_spectrum(_measurement_vector(k, d, basis), n_slots)
-    if eigs is not None:
-        return eigs
-    return np.linalg.eigvalsh(dense_frequency_matrix(k, n_slots, d, basis))
+    kvec = _measurement_vector(k, d, basis)
+    if _off_diagonal(kvec, n_slots, np.arange(d)).any():
+        return np.linalg.eigvalsh(dense_frequency_matrix(k, n_slots, d, basis))
+    eigs = np.empty(d**n_slots)
+    for cols, _, diag in _column_slices(kvec, n_slots):
+        eigs[cols] = diag.real
+    eigs.sort()
+    return eigs
 
 
 def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray, float]:
@@ -380,13 +370,22 @@ def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray,
     Returns ``lambda_j = Re f_jj`` for each ``e_j`` and the worst residual
     ``||f e_j - lambda_j e_j||``: this checks, beyond the matrix cap, rather
     than assumes that the standard basis diagonalizes the operator. The
-    columns are read ``EIGEN_COLUMNS`` at a time (`_column_slices`).
+    squared residual is ``Im f_jj ** 2`` plus, per slot of j, the squared norm
+    ``r[c]`` of the `_off_diagonal` row of its digit c. Digits and columns are
+    read ``EIGEN_COLUMNS`` at a time, so memory does not grow with ``d**N``.
     """
     size = _dense_size(d, n_slots)
+    kvec = _measurement_vector(k, d, None)
+    r = np.empty(d)
+    for digits in np.split(np.arange(d), range(EIGEN_COLUMNS, d, EIGEN_COLUMNS)):
+        sq = _off_diagonal(kvec, n_slots, digits).view(np.float64)
+        np.multiply(sq, sq, out=sq)
+        r[digits] = sq.sum(axis=1)
     eigs = np.empty(size)
     worst = 0.0
-    for cols, diag, off in _column_slices(_measurement_vector(k, d, None), n_slots):
-        residuals = np.linalg.norm(np.column_stack([off, diag.imag]), axis=1)
+    for cols, digits, diag in _column_slices(kvec, n_slots):
+        residuals = r[digits].sum(axis=0) + diag.imag * diag.imag
+        np.sqrt(residuals, out=residuals)
         eigs[cols] = diag.real
         # np.maximum, unlike max, keeps a NaN residual as the worst
         worst = float(np.maximum(worst, np.max(residuals)))

@@ -361,18 +361,23 @@ def test_eigencheck_reports_a_nan_residual(monkeypatch):
     monkeypatch.setattr(oracle, "_measurement_vector", lambda k, d, basis: nan_vector)
     _, worst = eigencheck_standard_basis(0, 3, 2)
     assert math.isnan(worst)
+    # with one index nothing lies off the diagonal, and a NaN shows only in
+    # the imaginary part of f_jj, which the residual holds as well
+    nan_diagonal = np.array([complex(1.0, np.nan)])
+    monkeypatch.setattr(oracle, "_measurement_vector", lambda k, d, basis: nan_diagonal)
+    _, worst = eigencheck_standard_basis(0, 3, 1)
+    assert math.isnan(worst)
 
 
 def test_eigencheck_memory_does_not_grow_with_the_operator():
     # all 2**14 * 14 * 2 entries at once take about 34 MB; a slice of
-    # EIGEN_COLUMNS columns and the 128 KB of eigenvalues stay far below
-    tracemalloc.start()
-    try:
-        eigencheck_standard_basis(0, 14, 2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 2**20
+    # EIGEN_COLUMNS columns and the 128 KB of eigenvalues stay far below.
+    # The 51 KiB of eigenvalues at (3, 8) and the 8 MiB at (32, 4) are all
+    # but the whole peak: a slice's digits and sums are small, and the table
+    # of off-diagonal entries has d**2 of them, not d**N * N * d
+    assert _traced_peak(lambda: eigencheck_standard_basis(0, 14, 2)) < 8 * 2**20
+    assert _traced_peak(lambda: eigencheck_standard_basis(1, 8, 3)) <= 2**20
+    assert _traced_peak(lambda: eigencheck_standard_basis(5, 4, 32)) <= 9 * 2**20
 
 
 @pytest.mark.parametrize("d, n", [(2, 10), (2, 7), (3, 5), (2, 3)])
@@ -388,6 +393,65 @@ def test_operator_entries_are_fractions_rounded_once(d, n):
         assert dense_spectrum(k, n, d).tobytes() == np.sort(expected).tobytes()
         e = DenseVector(d, n, np.eye(d**n)[-1])
         assert dense_apply_frequency(k, e).amps[-1] == expected[-1]
+
+
+def _reference_matrix(k, n, d, basis=None):
+    # the operator's definition, entry by entry: column c gets
+    # kvec[i] conj(kvec[digit]) at the row that is c with one slot's digit
+    # set to i, added into a matrix of +0, and every entry is then divided by
+    # N part by part; the diagonal receives one add per slot, in slot order
+    kvec = _measurement_vector(k, d, basis)
+    size = d**n
+    cols = np.arange(size)
+    place = d ** np.arange(n - 1, -1, -1)[:, None]
+    digits = cols[:, None, None] // place % d
+    rows = cols[:, None, None] + (np.arange(d) - digits) * place
+    m = np.zeros((size, size), dtype=np.complex128)
+    np.add.at(m, (rows, cols[:, None, None]), kvec * kvec.conj()[digits])
+    parts = m.view(np.float64)
+    parts /= n
+    return m
+
+
+def test_matrix_has_the_bits_of_adding_each_entry_into_zeros(rng, monkeypatch):
+    # the matrix writes each entry once from a d x d table; the reference
+    # adds every one of the N d values per column, zeros included, so -0
+    # parts, the diagonal's slot order and the division must all agree. A
+    # real orthogonal basis with negative entries gives entries whose
+    # imaginary part is -0 beside a nonzero real part
+    slice_sizes = (oracle.EIGEN_COLUMNS, 7)
+    for d, n in ((2, 3), (3, 2), (1, 4), (5, 1), (2, 5), (3, 4), (2, 10), (4, 5), (3, 6), (32, 2)):
+        shift = np.roll(np.eye(d), 1, axis=1)
+        phases = np.exp(2j * np.pi * rng.random(d))
+        real = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        bases = (None, shift, np.diag(phases), shift * phases, real, random_unitary(d, rng).entries)
+        ks = range(d) if d**n <= 81 else (0, d - 1)
+        for b in bases:
+            basis = None if b is None else UnitaryMatrix(b)
+            for k in ks:
+                want = _reference_matrix(k, n, d, basis).tobytes()
+                for columns in slice_sizes:
+                    monkeypatch.setattr(oracle, "EIGEN_COLUMNS", columns)
+                    got = dense_frequency_matrix(k, n, d, basis).tobytes()
+                    assert got == want, (d, n, k, columns)
+
+
+@pytest.mark.parametrize("d, n", [(2, 4), (3, 3), (4, 2)])
+def test_eigencheck_residual_holds_every_off_diagonal_entry(d, n, rng, monkeypatch):
+    # a Haar measurement vector puts entries off the diagonal of every
+    # column: the residual must be each column's norm once the real part of
+    # its diagonal entry is taken out, and the eigenvalues that real part
+    u = random_unitary(d, rng)
+    for k in range(d):
+        m = _reference_matrix(k, n, d, u)
+        lambdas = m.diagonal().real.copy()
+        m[np.diag_indices(d**n)] -= lambdas
+        want = np.linalg.norm(m, axis=0).max()
+        kvec = _measurement_vector(k, d, u)
+        monkeypatch.setattr(oracle, "_measurement_vector", lambda k, d, basis: kvec)
+        eigs, worst = eigencheck_standard_basis(k, n, d)
+        assert abs(worst - want) <= 4 * np.spacing(want)
+        assert eigs.tobytes() == lambdas.tobytes()
 
 
 # every standard-basis (d, N, k) up to side 64, and three of the largest sides
