@@ -7,6 +7,7 @@ immutable once constructed; the wrapped arrays are flagged read-only.
 from __future__ import annotations
 
 import enum
+import operator
 
 import numpy as np
 
@@ -32,6 +33,22 @@ def _as_complex_array(x, what: str, ndim: int) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what} contain non-finite entries")
     return a
+
+
+def _integer(x) -> int | None:
+    """``x`` as an ``int`` if it is an integer of any type but ``bool``, else None."""
+    try:
+        return None if isinstance(x, bool) else operator.index(x)
+    except TypeError:
+        return None
+
+
+def _index(i, dim: int, what: str) -> int:
+    """``i`` as an ``int`` in ``0..dim - 1``; otherwise a ValueError names ``what``."""
+    j = _integer(i)
+    if j is None or not 0 <= j < dim:
+        raise ValueError(f"{what} {i} out of range for dim {dim}")
+    return j
 
 
 def _divide(a: np.ndarray, n: int) -> None:
@@ -98,8 +115,7 @@ class StateVector:
     @classmethod
     def basis(cls, dim: int, index: int) -> "StateVector":
         """The standard basis vector ``|index>`` in ``dim`` dimensions."""
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} out of range for dim {dim}")
+        index = _index(index, dim, "basis index")
         a = np.zeros(dim, dtype=np.complex128)
         a[index] = 1.0
         return cls(a)
@@ -157,11 +173,8 @@ class Projector(HermitianOperator):
     @classmethod
     def onto_basis_state(cls, dim: int, index: int) -> "Projector":
         """Rank-one projector ``|index><index|`` in the standard basis."""
-        if not 0 <= index < dim:
-            raise ValueError(f"basis index {index} out of range for dim {dim}")
-        m = np.zeros((dim, dim), dtype=np.complex128)
-        m[index, index] = 1.0
-        return cls(m)
+        v = StateVector.basis(dim, index).amps
+        return cls(np.outer(v, v.conj()))
 
 
 class UnitaryMatrix(_SquareMatrix):
@@ -174,17 +187,14 @@ class UnitaryMatrix(_SquareMatrix):
 
     def column(self, j: int) -> StateVector:
         """Column ``j`` as a state (the j-th measurement-basis vector)."""
-        if not 0 <= j < self.dim:
-            raise ValueError(f"column {j} out of range for dim {self.dim}")
-        return StateVector(self._entries[:, j])
+        return StateVector(self._entries[:, _index(j, self.dim, "column")])
 
 
 def _measurement_vector(k: int, d: int, basis: UnitaryMatrix | None) -> np.ndarray:
     """Read-only ``k``-th vector of ``basis``, or of the standard basis if None."""
     if basis is not None and basis.dim != d:
         raise ValueError(f"basis dim {basis.dim} does not match state dim {d}")
-    if not 0 <= k < d:
-        raise ValueError(f"outcome {k} out of range for dim {d}")
+    k = _index(k, d, "outcome")
     if basis is not None:
         v = basis.entries[:, k].copy()
     else:

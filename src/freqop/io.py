@@ -14,7 +14,7 @@ from typing import Any
 
 import numpy as np
 
-from .hilbert import HermitianOperator, StateVector, UnitaryMatrix
+from .hilbert import HermitianOperator, StateVector, UnitaryMatrix, _integer
 
 
 def _reject_constant(name: str):
@@ -65,13 +65,17 @@ def state_to_dict(s: StateVector) -> dict:
     return {"dim": s.dim, "amps": [_pair(z) for z in s.amps]}
 
 
-def state_from_dict(obj: Any, *, normalize: bool = False) -> StateVector:
-    if not isinstance(obj, dict) or set(obj) != {"dim", "amps"}:
-        raise ValueError('state object must have exactly the keys "dim" and "amps"')
-    dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
+def _header(obj: Any, kind: str, key: str) -> tuple[int, Any]:
+    if not isinstance(obj, dict) or set(obj) != {"dim", key}:
+        raise ValueError(f'{kind} object must have exactly the keys "dim" and "{key}"')
+    dim = _integer(obj["dim"])
+    if dim is None or dim < 1:
         raise ValueError('"dim" must be a positive integer')
-    amps = obj["amps"]
+    return dim, obj[key]
+
+
+def state_from_dict(obj: Any, *, normalize: bool = False) -> StateVector:
+    dim, amps = _header(obj, "state", "amps")
     if not isinstance(amps, list) or len(amps) != dim:
         raise ValueError(f'"amps" must be a list of {dim} [re, im] pairs')
     a = np.array(
@@ -90,12 +94,7 @@ def matrix_to_dict(entries: np.ndarray) -> dict:
 
 
 def matrix_array_from_dict(obj: Any) -> np.ndarray:
-    if not isinstance(obj, dict) or set(obj) != {"dim", "rows"}:
-        raise ValueError('matrix object must have exactly the keys "dim" and "rows"')
-    dim = obj["dim"]
-    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
-        raise ValueError('"dim" must be a positive integer')
-    rows = obj["rows"]
+    dim, rows = _header(obj, "matrix", "rows")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f'"rows" must be a list of {dim} rows')
     out = np.empty((dim, dim), dtype=np.complex128)

@@ -11,12 +11,18 @@ a real cross-check. Capped at ``d**N <= 2**20`` amplitudes.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Iterator
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix, _divide, _measurement_vector
+from .hilbert import (
+    StateVector,
+    UnitaryMatrix,
+    _as_complex_array,
+    _divide,
+    _integer,
+    _measurement_vector,
+)
 from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
@@ -27,7 +33,9 @@ APPLY_TILE = 2**14   # most amplitudes per cache tile of the dense apply and pow
 
 def _dense_size(d: int, n_slots: int) -> int:
     # Python ints, so a numpy integer cannot wrap the power around in int64
-    d, n_slots = operator.index(d), operator.index(n_slots)
+    d, n_slots = _integer(d), _integer(n_slots)
+    if d is None or n_slots is None:
+        raise ValueError("d and n_slots must be integers")
     if d < 1 or n_slots < 1:
         raise ValueError("need d >= 1 and n_slots >= 1")
     # 2**20 is the cap, so no d >= 2 fits more slots; 1**N never passes it,
@@ -39,11 +47,6 @@ def _dense_size(d: int, n_slots: int) -> int:
     if size > DENSE_CAP:
         raise ValueError(f"d**n_slots = {d}**{n_slots} exceeds the dense cap {DENSE_CAP}")
     return size
-
-
-def _require_finite(a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError("amplitudes contain non-finite entries")
 
 
 class DenseVector:
@@ -66,7 +69,7 @@ class DenseVector:
         size = _dense_size(d, n_slots)
         if a.shape != (size,):
             raise ValueError(f"expected {size} amplitudes, got shape {a.shape}")
-        _require_finite(a)
+        _as_complex_array(a, "amplitudes", 1)
         a.setflags(write=False)
         self._d = d
         self._n_slots = n_slots

@@ -20,12 +20,11 @@ every comparison is the one a search of the unscaled edges would make.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix
+from .hilbert import StateVector, UnitaryMatrix, _integer
 
 DRAW_BLOCK = 2**16  # draws per block: 512 KiB of words, so a block stays in cache
 MAX_DRAWS = 10**9  # 10-30 s on 2 vCPUs (d = 2..5000), so time stays bounded too
@@ -60,13 +59,6 @@ def outcome_probabilities(
         raise ValueError(f"basis dim {basis.dim} does not match state dim {s.dim}")
     # an axis-0 sum in place of a BLAS product, so no bit depends on the threads
     return np.abs((basis.entries.conj() * s.amps[:, None]).sum(axis=0)) ** 2
-
-
-def _integer(x) -> int | None:
-    """``x`` as an ``int`` if it is an integer of any type but ``bool``, else None."""
-    if isinstance(x, numbers.Integral) and not isinstance(x, bool):
-        return int(x)
-    return None
 
 
 def sample_ensemble(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import FrequencyReport, FrequencySpec, deviation_norm
-from .hilbert import HermitianOperator, UnitaryMatrix, evolve
+from .hilbert import HermitianOperator, UnitaryMatrix, _index, evolve
 
 
 @dataclass(frozen=True)
@@ -32,11 +32,8 @@ class SequentialSpec:
     successions: int
 
     def __post_init__(self):
-        d = self.hamiltonian.dim
-        if not 0 <= self.m < d:
-            raise ValueError(f"prepared record {self.m} out of range for dim {d}")
-        if not 0 <= self.n < d:
-            raise ValueError(f"succeeding record {self.n} out of range for dim {d}")
+        _index(self.m, self.hamiltonian.dim, "prepared record")
+        _index(self.n, self.hamiltonian.dim, "succeeding record")
         if self.successions < 1:
             raise ValueError("successions must be at least 1")
         if not np.isfinite(self.dt):
@@ -51,11 +48,8 @@ def succession_probabilities(
     h: HermitianOperator, dt: float, m: int
 ) -> np.ndarray:
     """``q(n) = |<n|U|m>|^2`` for every possible succeeding record ``n``."""
-    if not 0 <= m < h.dim:
-        raise ValueError(f"prepared record {m} out of range for dim {h.dim}")
-    u = evolve(h, dt)
-    col = u.entries[:, m]
-    return np.abs(col) ** 2
+    m = _index(m, h.dim, "prepared record")
+    return np.abs(evolve(h, dt).entries[:, m]) ** 2
 
 
 def succession_frequency(spec: SequentialSpec) -> FrequencyReport:

@@ -20,9 +20,9 @@ from .frequency import (
     cross_orthogonality,
     deviation_norm,
 )
-from .hilbert import random_hermitian, random_state
+from .hilbert import _integer, random_hermitian, random_state
 from .oracle import dense_deviation, dense_frequency_matrix
-from .sampling import _integer, sample_ensemble
+from .sampling import sample_ensemble
 from .scenarios import PRODUCT_TOL, epr_check, wigner_friend_check
 from .sequential import SequentialSpec, succession_frequency, succession_probabilities
 
