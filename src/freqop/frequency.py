@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix, _measurement_vector
+from .hilbert import StateVector, UnitaryMatrix, _measurement_vector, _size
 from .product import (
     TAIL_EPS,
     ProductState,
@@ -48,6 +48,8 @@ class FrequencySpec:
     basis: UnitaryMatrix | None = None
 
     def __post_init__(self):
+        # an int, since a numpy integer would overflow the counted route's n * n
+        object.__setattr__(self, "n_slots", _size(self.n_slots, "n_slots"))
         if self.n_slots < 1:
             raise ValueError("n_slots must be at least 1")
         if self.n_slots > MAX_SLOTS:
@@ -174,6 +176,7 @@ def cauchy_gap(
     Bounded by ``(1/m - 1/n)(p - p^2) <= 1/m - 1/n``, which is what makes
     the sequence of finite-ensemble images Cauchy.
     """
+    m, n = _size(m, "m"), _size(n, "n")
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     kvec = _measurement_vector(k, s.dim, basis)
@@ -209,6 +212,7 @@ def cauchy_gap_grid(
     corrections; each (m, n) pair recombines them, weighted by the
     coefficients ``a/n - a/m`` up to slot m and ``a/n`` up to slot n.
     """
+    n_max = _size(n_max, "n_max")
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     kvec = _measurement_vector(k, s.dim, basis)
@@ -240,6 +244,7 @@ def cross_orthogonality(
     the tail rule the result is exactly zero whenever the rays are
     separated; inputs closer than the rule can resolve are rejected.
     """
+    m, n = _size(m, "m"), _size(n, "n")
     if not 1 <= m <= n:
         raise ValueError("need 1 <= m <= n")
     if s.dim != s_prime.dim:

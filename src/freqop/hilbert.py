@@ -38,9 +38,17 @@ def _as_complex_array(x, what: str, ndim: int) -> np.ndarray:
 def _integer(x) -> int | None:
     """``x`` as an ``int`` if it is an integer of any type but ``bool``, else None."""
     try:
-        return None if isinstance(x, bool) else operator.index(x)
+        return None if isinstance(x, (bool, np.bool_)) else operator.index(x)
     except TypeError:
         return None
+
+
+def _size(x, what: str) -> int:
+    """``x`` as an ``int``; a ValueError names ``what`` if it is not an integer."""
+    n = _integer(x)
+    if n is None:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return n
 
 
 def _index(i, dim: int, what: str) -> int:
@@ -115,6 +123,7 @@ class StateVector:
     @classmethod
     def basis(cls, dim: int, index: int) -> "StateVector":
         """The standard basis vector ``|index>`` in ``dim`` dimensions."""
+        dim = _size(dim, "dim")
         index = _index(index, dim, "basis index")
         a = np.zeros(dim, dtype=np.complex128)
         a[index] = 1.0

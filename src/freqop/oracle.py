@@ -20,8 +20,8 @@ from .hilbert import (
     UnitaryMatrix,
     _as_complex_array,
     _divide,
-    _integer,
     _measurement_vector,
+    _size,
 )
 from .product import ProductState
 
@@ -33,9 +33,7 @@ APPLY_TILE = 2**14   # most amplitudes per cache tile of the dense apply and pow
 
 def _dense_size(d: int, n_slots: int) -> int:
     # Python ints, so a numpy integer cannot wrap the power around in int64
-    d, n_slots = _integer(d), _integer(n_slots)
-    if d is None or n_slots is None:
-        raise ValueError("d and n_slots must be integers")
+    d, n_slots = _size(d, "d"), _size(n_slots, "n_slots")
     if d < 1 or n_slots < 1:
         raise ValueError("need d >= 1 and n_slots >= 1")
     # 2**20 is the cap, so no d >= 2 fits more slots; 1**N never passes it,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .frequency import FrequencyReport, FrequencySpec, deviation_norm
-from .hilbert import HermitianOperator, UnitaryMatrix, _index, evolve
+from .hilbert import HermitianOperator, UnitaryMatrix, _index, _size, evolve
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class SequentialSpec:
     def __post_init__(self):
         _index(self.m, self.hamiltonian.dim, "prepared record")
         _index(self.n, self.hamiltonian.dim, "succeeding record")
-        if self.successions < 1:
+        if _size(self.successions, "successions") < 1:
             raise ValueError("successions must be at least 1")
         if not np.isfinite(self.dt):
             raise ValueError("dt must be finite")

@@ -21,6 +21,23 @@ from freqop.hilbert import (
     random_unitary,
     truth_value,
 )
+from freqop.frequency import (
+    FrequencyReport,
+    FrequencySpec,
+    cauchy_gap,
+    cauchy_gap_grid,
+    cross_orthogonality,
+    deviation_norm,
+)
+from freqop.oracle import (
+    DenseVector,
+    dense_deviation,
+    dense_frequency_matrix,
+    dense_spectrum,
+    eigencheck_standard_basis,
+    kron_power,
+)
+from freqop.sequential import SequentialSpec, succession_frequency, succession_probabilities
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -205,3 +222,106 @@ def test_random_projector_rank(rng):
     for rank in (0, 6):
         with pytest.raises(ValueError, match="rank"):
             random_projector(5, rank, rng)
+
+
+S68 = StateVector([0.6, 0.8])
+S_PLUS = StateVector([INV_SQRT2, INV_SQRT2])
+H_X = HermitianOperator([[0.0, 1.0], [1.0, 0.0]])
+
+
+def _bits(x) -> bytes:
+    """The bytes of every number a result holds, so results compare bit for bit."""
+    if isinstance(x, FrequencyReport):
+        x = (x.p, x.deviation_exact, x.deviation_closed, x.applied_norm)
+    if isinstance(x, tuple):
+        return b"".join(_bits(e) for e in x)
+    if isinstance(x, StateVector):
+        return x.amps.tobytes()
+    if isinstance(x, (HermitianOperator, UnitaryMatrix)):
+        return x.entries.tobytes()
+    return np.asarray(x, dtype=np.complex128).tobytes()
+
+
+# every route that reads an index a caller passes, and the name its refusal gives
+INDEX_CALLS = {
+    "gram": (lambda k: deviation_norm(FrequencySpec(k, 4), S68, method="gram"), "outcome"),
+    "counted": (
+        lambda k: deviation_norm(FrequencySpec(k, 4), S68, method="counted"),
+        "outcome",
+    ),
+    "dense_deviation": (lambda k: dense_deviation(S68, k, 4), "outcome"),
+    "eigencheck": (lambda k: eigencheck_standard_basis(k, 2, 2), "outcome"),
+    "dense_spectrum": (lambda k: dense_spectrum(k, 2, 2), "outcome"),
+    "dense_matrix": (lambda k: dense_frequency_matrix(k, 2, 2), "outcome"),
+    "cauchy_gap_grid": (lambda k: cauchy_gap_grid(k, S68, 2), "outcome"),
+    "succession_probabilities": (
+        lambda k: succession_probabilities(H_X, 0.3, k),
+        "prepared record",
+    ),
+    "prepared_record": (
+        lambda k: succession_frequency(SequentialSpec(H_X, 0.1, k, 1, 3)),
+        "prepared record",
+    ),
+    "succeeding_record": (
+        lambda k: succession_frequency(SequentialSpec(H_X, 0.1, 0, k, 3)),
+        "succeeding record",
+    ),
+    "basis_state": (lambda k: StateVector.basis(2, k), "basis index"),
+    "basis_projector": (lambda k: Projector.onto_basis_state(2, k), "basis index"),
+    "column": (lambda k: UnitaryMatrix(H_X.entries).column(k), "column"),
+}
+
+
+@pytest.mark.parametrize("k", [True, np.True_, 0.5, 1.5], ids=repr)
+@pytest.mark.parametrize("route", INDEX_CALLS)
+def test_an_index_is_an_integer_and_not_a_bool(route, k):
+    # a bool indexed the vector as a mask, (0.6, 0.8) read p = 1.96 on every
+    # route, and a float crashed with IndexError; now each refuses and names it
+    call, name = INDEX_CALLS[route]
+    with pytest.raises(ValueError, match=f"^{name} {k} out of range for dim 2$"):
+        call(k)
+    assert _bits(call(np.int64(1))) == _bits(call(1))
+
+
+def test_basis_projector_is_the_outer_product_of_the_basis_state():
+    for i in range(3):
+        m = np.zeros((3, 3), dtype=np.complex128)
+        m[i, i] = 1.0
+        assert Projector.onto_basis_state(3, i).entries.tobytes() == m.tobytes()
+
+
+# every size a caller passes, and the name its refusal gives
+SIZE_CALLS = {
+    "n_slots": (lambda n: FrequencySpec(0, n), "n_slots"),
+    "n_max": (lambda n: cauchy_gap_grid(0, S68, n), "n_max"),
+    "cauchy_m": (lambda n: cauchy_gap(0, n, 4, S68), "m"),
+    "cauchy_n": (lambda n: cauchy_gap(0, 1, n, S68), "n"),
+    "cross_n": (lambda n: cross_orthogonality(0, n, 1, S68, S_PLUS), "n"),
+    "cross_m": (lambda n: cross_orthogonality(0, 4, n, S68, S_PLUS), "m"),
+    "dense_deviation": (lambda n: dense_deviation(S68, 0, n), "n_slots"),
+    "kron_power": (lambda n: kron_power(S68, n), "n_slots"),
+    "dense_d": (lambda n: DenseVector(n, 1, [1.0]), "d"),
+    "successions": (lambda n: SequentialSpec(H_X, 0.1, 0, 1, n), "successions"),
+    "basis_dim": (lambda n: StateVector.basis(n, 0), "dim"),
+    "projector_dim": (lambda n: Projector.onto_basis_state(n, 0), "dim"),
+}
+
+
+@pytest.mark.parametrize("size", [True, np.True_, 2.0, np.float64(2.0), "2"], ids=repr)
+@pytest.mark.parametrize("route", SIZE_CALLS)
+def test_a_size_is_an_integer_and_not_a_bool(route, size):
+    # a float size crashed the gram route with TypeError, and a bool ran as 1
+    call, name = SIZE_CALLS[route]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call(size)
+
+
+def test_numpy_integer_sizes_give_the_bits_of_int():
+    # a numpy n_slots overflowed the counted route's n * n into a NaN norm
+    for n, method in ((4, "gram"), (2**40, "counted"), (2**53, "counted")):
+        got = deviation_norm(FrequencySpec(0, np.int64(n)), S68, method=method)
+        assert type(got.n_slots) is int
+        assert _bits(got) == _bits(deviation_norm(FrequencySpec(0, n), S68, method=method))
+    assert _bits(cauchy_gap_grid(0, S68, np.int64(5))) == _bits(cauchy_gap_grid(0, S68, 5))
+    assert cauchy_gap(0, np.int64(2), np.int64(7), S68) == cauchy_gap(0, 2, 7, S68)
+    assert dense_deviation(S68, 1, np.int64(6)) == dense_deviation(S68, 1, 6)
