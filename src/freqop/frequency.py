@@ -49,11 +49,7 @@ class FrequencySpec:
 
     def __post_init__(self):
         # an int, since a numpy integer would overflow the counted route's n * n
-        object.__setattr__(self, "n_slots", _size(self.n_slots, "n_slots"))
-        if self.n_slots < 1:
-            raise ValueError("n_slots must be at least 1")
-        if self.n_slots > MAX_SLOTS:
-            raise ValueError(f"n_slots must be at most {MAX_SLOTS}")
+        object.__setattr__(self, "n_slots", _size(self.n_slots, "n_slots", 1, MAX_SLOTS))
         if self.k < 0:
             raise ValueError("outcome index must be non-negative")
         if self.basis is not None and self.k >= self.basis.dim:
@@ -176,9 +172,8 @@ def cauchy_gap(
     Bounded by ``(1/m - 1/n)(p - p^2) <= 1/m - 1/n``, which is what makes
     the sequence of finite-ensemble images Cauchy.
     """
-    m, n = _size(m, "m"), _size(n, "n")
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
+    m = _size(m, "m", lo=1)
+    n = _size(n, "n", lo=m)
     kvec = _measurement_vector(k, s.dim, basis)
     if method == "auto":
         method = "gram" if n <= GRAM_LIMIT else "counted"
@@ -212,9 +207,7 @@ def cauchy_gap_grid(
     corrections; each (m, n) pair recombines them, weighted by the
     coefficients ``a/n - a/m`` up to slot m and ``a/n`` up to slot n.
     """
-    n_max = _size(n_max, "n_max")
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
+    n_max = _size(n_max, "n_max", lo=1)
     kvec = _measurement_vector(k, s.dim, basis)
     a = complex(np.vdot(kvec, s.amps))
     block = _one_edit_terms(s, kvec, n_max)
@@ -244,9 +237,8 @@ def cross_orthogonality(
     the tail rule the result is exactly zero whenever the rays are
     separated; inputs closer than the rule can resolve are rejected.
     """
-    m, n = _size(m, "m"), _size(n, "n")
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
+    m = _size(m, "m", lo=1)
+    n = _size(n, "n", lo=m)
     if s.dim != s_prime.dim:
         raise ValueError(f"dimension mismatch: {s.dim} vs {s_prime.dim}")
     overlap = abs(complex(np.vdot(s.amps, s_prime.amps)))

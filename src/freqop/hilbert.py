@@ -43,11 +43,15 @@ def _integer(x) -> int | None:
         return None
 
 
-def _size(x, what: str) -> int:
-    """``x`` as an ``int``; a ValueError names ``what`` if it is not an integer."""
+def _size(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``x`` as an ``int`` in ``lo..hi`` (None: no bound); a ValueError names ``what``."""
     n = _integer(x)
     if n is None:
         raise ValueError(f"{what} must be an integer, got {x!r}")
+    if lo is not None and n < lo:
+        raise ValueError(f"{what} must be at least {lo}")
+    if hi is not None and n > hi:
+        raise ValueError(f"{what} must be at most {hi}")
     return n
 
 
@@ -293,7 +297,6 @@ def random_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
     """Projector onto a Haar-random ``rank``-dimensional subspace."""
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank {rank} out of range for dim {dim}")
+    rank = _size(rank, "rank", lo=1, hi=dim)
     v = random_unitary(dim, rng).entries[:, :rank]
     return Projector(v @ v.conj().T)

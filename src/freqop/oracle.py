@@ -27,7 +27,7 @@ from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
-EIGEN_COLUMNS = 2**10  # columns or table rows per slice of f, so memory does not grow with d**N
+EIGEN_COLUMNS = 2**10  # columns per slice of f, so memory does not grow with d**N
 APPLY_TILE = 2**14   # most amplitudes per cache tile of the dense apply and power (256 KiB)
 
 
@@ -151,16 +151,16 @@ def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
     return DenseVector._adopt(state.dim, n_slots, out)
 
 
-def _off_diagonal(kvec: np.ndarray, n_slots: int, digits: np.ndarray) -> np.ndarray:
-    """``off[j, i] = kvec[i] conj(kvec[digits[j]]) / N``, 0 at ``i = digits[j]``.
+def _off_diagonal(kvec: np.ndarray, n_slots: int) -> np.ndarray:
+    """The ``d x d`` table ``off[c, i] = kvec[i] conj(kvec[c]) / N``, 0 at ``i = c``.
 
-    A column whose slot reads ``digits[j]`` holds ``off[j, i]`` at the row
-    with that slot set to i. Each is added to +0 before the division, as into
-    a matrix of +0, so a -0 part reads +0.
+    A column whose slot reads ``c`` holds ``off[c, i]`` at the row with that
+    slot set to i. Each is added to +0 before the division, as into a matrix
+    of +0, so a -0 part reads +0.
     """
-    off = kvec * kvec.conj()[digits, None]
+    off = kvec * kvec.conj()[:, None]
     off += 0
-    off[np.arange(digits.size), digits] = 0
+    np.fill_diagonal(off, 0)
     _divide(off, n_slots)
     return off
 
@@ -331,7 +331,7 @@ def dense_frequency_matrix(
     """
     size = _matrix_size(d, n_slots)
     kvec = _measurement_vector(k, d, basis)
-    off = _off_diagonal(kvec, n_slots, np.arange(d))
+    off = _off_diagonal(kvec, n_slots)
     place = d ** np.arange(n_slots - 1, -1, -1)
     m = np.zeros((size, size), dtype=np.complex128)
     for cols, digits, diag in _column_slices(kvec, n_slots):
@@ -356,7 +356,7 @@ def dense_spectrum(
     """
     _matrix_size(d, n_slots)
     kvec = _measurement_vector(k, d, basis)
-    if _off_diagonal(kvec, n_slots, np.arange(d)).any():
+    if _off_diagonal(kvec, n_slots).any():
         return np.linalg.eigvalsh(dense_frequency_matrix(k, n_slots, d, basis))
     eigs = np.empty(d**n_slots)
     for cols, _, diag in _column_slices(kvec, n_slots):
@@ -372,16 +372,16 @@ def eigencheck_standard_basis(k: int, n_slots: int, d: int) -> tuple[np.ndarray,
     ``||f e_j - lambda_j e_j||``: this checks, beyond the matrix cap, rather
     than assumes that the standard basis diagonalizes the operator. The
     squared residual is ``Im f_jj ** 2`` plus, per slot of j, the squared norm
-    ``r[c]`` of the `_off_diagonal` row of its digit c. Digits and columns are
-    read ``EIGEN_COLUMNS`` at a time, so memory does not grow with ``d**N``.
+    ``r[c]`` of the `_off_diagonal` row of its digit c. That table is one
+    ``d x d`` array, ``d <= MATRIX_CAP``, and the columns are read
+    ``EIGEN_COLUMNS`` at a time, so memory does not grow with ``d**N``.
     """
     size = _dense_size(d, n_slots)
+    d = _size(d, "d", hi=MATRIX_CAP)
     kvec = _measurement_vector(k, d, None)
-    r = np.empty(d)
-    for digits in np.split(np.arange(d), range(EIGEN_COLUMNS, d, EIGEN_COLUMNS)):
-        sq = _off_diagonal(kvec, n_slots, digits).view(np.float64)
-        np.multiply(sq, sq, out=sq)
-        r[digits] = sq.sum(axis=1)
+    sq = _off_diagonal(kvec, n_slots).view(np.float64)
+    np.multiply(sq, sq, out=sq)
+    r = sq.sum(axis=1)
     eigs = np.empty(size)
     worst = 0.0
     for cols, digits, diag in _column_slices(kvec, n_slots):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix, _integer
+from .hilbert import StateVector, UnitaryMatrix, _integer, _size
 
 DRAW_BLOCK = 2**16  # draws per block: 512 KiB of words, so a block stays in cache
 MAX_DRAWS = 10**9  # 10-30 s on 2 vCPUs (d = 2..5000), so time stays bounded too
@@ -73,9 +73,7 @@ def sample_ensemble(
     spread ``sqrt(p(1-p)/n)``; the returned z-scores measure each count
     against that. Identical arguments give an identical record.
     """
-    n_samples, seed = _integer(n_samples), _integer(seed)
-    if n_samples is None or not 1 <= n_samples <= MAX_DRAWS:
-        raise ValueError(f"n_samples must be in 1..{MAX_DRAWS}")
+    n_samples, seed = _size(n_samples, "n_samples", 1, MAX_DRAWS), _integer(seed)
     if seed is None or not 0 <= seed < 2**128:
         raise ValueError("seed must be an integer in 0..2**128 - 1")
     p = outcome_probabilities(s, basis)

@@ -34,8 +34,7 @@ class SequentialSpec:
     def __post_init__(self):
         _index(self.m, self.hamiltonian.dim, "prepared record")
         _index(self.n, self.hamiltonian.dim, "succeeding record")
-        if _size(self.successions, "successions") < 1:
-            raise ValueError("successions must be at least 1")
+        _size(self.successions, "successions", lo=1)
         if not np.isfinite(self.dt):
             raise ValueError("dt must be finite")
 
