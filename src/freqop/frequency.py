@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix, _measurement_vector, _size
+from .hilbert import StateVector, UnitaryMatrix, _index, _measurement_vector, _size
 from .product import (
     TAIL_EPS,
     ProductState,
@@ -50,12 +50,10 @@ class FrequencySpec:
     def __post_init__(self):
         # an int, since a numpy integer would overflow the counted route's n * n
         object.__setattr__(self, "n_slots", _size(self.n_slots, "n_slots", 1, MAX_SLOTS))
-        if self.k < 0:
+        if self.basis is not None:
+            _index(self.k, self.basis.dim, "outcome")
+        elif self.k < 0:
             raise ValueError("outcome index must be non-negative")
-        if self.basis is not None and self.k >= self.basis.dim:
-            raise ValueError(
-                f"outcome {self.k} out of range for basis dim {self.basis.dim}"
-            )
 
 
 @dataclass(frozen=True)

@@ -277,17 +277,20 @@ def truth_value(s: StateVector, p: Projector) -> TruthValue:
 
 def random_state(dim: int, rng: np.random.Generator) -> StateVector:
     """A state with amplitudes drawn from the complex normal, normalized."""
+    dim = _size(dim, "dim", lo=1)
     a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return StateVector(a, normalize=True)
 
 
 def random_hermitian(dim: int, rng: np.random.Generator) -> HermitianOperator:
+    dim = _size(dim, "dim", lo=1)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return HermitianOperator((m + m.conj().T) / 2.0)
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
     """Haar-distributed unitary (QR of a complex Ginibre matrix, phase-fixed)."""
+    dim = _size(dim, "dim", lo=1)
     m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(m)
     d = np.diagonal(r)
@@ -297,6 +300,7 @@ def random_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
 
 def random_projector(dim: int, rank: int, rng: np.random.Generator) -> Projector:
     """Projector onto a Haar-random ``rank``-dimensional subspace."""
+    dim = _size(dim, "dim", lo=1)
     rank = _size(rank, "rank", lo=1, hi=dim)
     v = random_unitary(dim, rng).entries[:, :rank]
     return Projector(v @ v.conj().T)

@@ -26,7 +26,14 @@ import math
 
 import numpy as np
 
-from .hilbert import HERMITIAN_TOL, StateVector, _as_complex_array, _divide, _unit_amplitudes
+from .hilbert import (
+    HERMITIAN_TOL,
+    StateVector,
+    _as_complex_array,
+    _divide,
+    _size,
+    _unit_amplitudes,
+)
 
 
 TAIL_EPS = 1e-12  # tails with |<tail_a|tail_b> - 1| <= TAIL_EPS count as equal
@@ -245,6 +252,8 @@ class ProductState:
     __slots__ = ("_classes", "_dim")
 
     def __init__(self, terms, dim: int | None = None):
+        if dim is not None:
+            dim = _size(dim, "dim")
         ts = tuple(terms)
         if ts:
             d = ts[0].dim

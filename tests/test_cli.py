@@ -151,6 +151,16 @@ def test_converge_rejects_a_basis_of_another_dimension(runner, tmp_path):
     assert "basis dim 3 does not match state dim 2" in result.stderr
 
 
+def test_converge_names_an_outcome_past_the_basis_as_without_one(runner, tmp_path):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps(matrix_to_dict(np.eye(2))))
+    for extra in ([], ["--basis", str(path)]):
+        result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "2", *extra])
+        assert result.exit_code == 2
+        assert result.stdout == ""
+        assert "Error: outcome 2 out of range for dim 2\n" in result.stderr
+
+
 def test_converge_rejects_non_finite_state_file(runner, tmp_path):
     path = tmp_path / "s.json"
     path.write_text('{"dim": 1, "amps": [[NaN, 0.0]]}')

@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from freqop import hilbert
 from freqop.hilbert import (
     EIG_TOL,
     UNIT_EPS,
@@ -22,6 +23,7 @@ from freqop.hilbert import (
     truth_value,
 )
 from freqop.frequency import (
+    MAX_SLOTS,
     FrequencyReport,
     FrequencySpec,
     cauchy_gap,
@@ -30,6 +32,7 @@ from freqop.frequency import (
     deviation_norm,
 )
 from freqop.oracle import (
+    MATRIX_CAP,
     DenseVector,
     dense_deviation,
     dense_frequency_matrix,
@@ -37,6 +40,8 @@ from freqop.oracle import (
     eigencheck_standard_basis,
     kron_power,
 )
+from freqop.product import ProductState
+from freqop.sampling import MAX_DRAWS, sample_ensemble
 from freqop.sequential import SequentialSpec, succession_frequency, succession_probabilities
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -304,6 +309,11 @@ SIZE_CALLS = {
     "successions": (lambda n: SequentialSpec(H_X, 0.1, 0, 1, n), "successions"),
     "basis_dim": (lambda n: StateVector.basis(n, 0), "dim"),
     "projector_dim": (lambda n: Projector.onto_basis_state(n, 0), "dim"),
+    "product_dim": (lambda n: ProductState([], dim=n), "dim"),
+    "random_state": (lambda n: random_state(n, np.random.default_rng(0)), "dim"),
+    "random_hermitian": (lambda n: random_hermitian(n, np.random.default_rng(0)), "dim"),
+    "random_unitary": (lambda n: random_unitary(n, np.random.default_rng(0)), "dim"),
+    "projector_rank": (lambda n: random_projector(2, n, np.random.default_rng(0)), "rank"),
 }
 
 
@@ -325,3 +335,77 @@ def test_numpy_integer_sizes_give_the_bits_of_int():
     assert _bits(cauchy_gap_grid(0, S68, np.int64(5))) == _bits(cauchy_gap_grid(0, S68, 5))
     assert cauchy_gap(0, np.int64(2), np.int64(7), S68) == cauchy_gap(0, 2, 7, S68)
     assert dense_deviation(S68, 1, np.int64(6)) == dense_deviation(S68, 1, 6)
+
+
+# every bounded size, one step past each bound, and the refusal that names it
+BOUND_CALLS = [
+    (lambda: FrequencySpec(0, 0), "n_slots must be at least 1"),
+    (lambda: FrequencySpec(0, MAX_SLOTS + 1), f"n_slots must be at most {MAX_SLOTS}"),
+    (lambda: cauchy_gap_grid(0, S68, 0), "n_max must be at least 1"),
+    (lambda: SequentialSpec(H_X, 0.1, 0, 1, 0), "successions must be at least 1"),
+    (lambda: cauchy_gap(0, 0, 4, S68), "m must be at least 1"),
+    (lambda: cauchy_gap(0, 5, 4, S68), "n must be at least 5"),
+    (lambda: cross_orthogonality(0, 4, 0, S68, S_PLUS), "m must be at least 1"),
+    (lambda: cross_orthogonality(0, 2, 3, S68, S_PLUS), "n must be at least 3"),
+    (lambda: sample_ensemble(S68, 0, seed=1), "n_samples must be at least 1"),
+    (lambda: sample_ensemble(S68, MAX_DRAWS + 1, seed=1), f"n_samples must be at most {MAX_DRAWS}"),
+    (lambda: random_projector(5, 0, np.random.default_rng(0)), "rank must be at least 1"),
+    (lambda: random_projector(5, 6, np.random.default_rng(0)), "rank must be at most 5"),
+    (lambda: random_state(0, np.random.default_rng(0)), "dim must be at least 1"),
+    (lambda: eigencheck_standard_basis(0, 1, MATRIX_CAP + 1), f"d must be at most {MATRIX_CAP}"),
+]
+
+
+@pytest.mark.parametrize("call, message", BOUND_CALLS, ids=[m for _, m in BOUND_CALLS])
+def test_a_size_past_its_bound_is_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_a_size_at_its_bound_is_accepted():
+    assert FrequencySpec(0, 1).n_slots == 1
+    assert FrequencySpec(0, MAX_SLOTS).n_slots == MAX_SLOTS
+    assert cauchy_gap_grid(0, S68, 1).shape == (1, 1)
+    assert succession_frequency(SequentialSpec(H_X, 0.1, 0, 1, 1)).n_slots == 1
+    assert cauchy_gap(0, 1, 1, S68) == 0.0
+    assert cauchy_gap(0, 4, 4, S68) == 0.0
+    assert cross_orthogonality(0, 1, 1, S68, S_PLUS) == 0.0
+    assert sample_ensemble(S68, 1, seed=1).n_samples == 1
+    for rank in (1, 5):
+        p = random_projector(5, rank, np.random.default_rng(0))
+        npt.assert_allclose(np.trace(p.entries).real, rank, atol=1e-12)
+    assert random_state(1, np.random.default_rng(0)).dim == 1
+
+
+def test_a_refused_rank_draws_nothing():
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    for rank in (0, 3, True, 1.5):
+        with pytest.raises(ValueError, match="^rank must be"):
+            random_projector(2, rank, rng)
+    assert rng.bit_generator.state == before
+
+
+def test_an_outcome_past_the_basis_has_the_wording_of_the_standard_basis():
+    # one rule for k with or without a basis; a negative k without one keeps
+    # its own message
+    u = random_unitary(2, np.random.default_rng(0))
+    for k in (2, -1):
+        with pytest.raises(ValueError, match=f"^outcome {k} out of range for dim 2$"):
+            FrequencySpec(k, 4, u)
+    with pytest.raises(ValueError, match="^outcome index must be non-negative$"):
+        FrequencySpec(-1, 4)
+
+
+def test_eig_hermitian_refuses_a_decomposition_that_does_not_reconstruct(monkeypatch):
+    # LAPACK is not trusted blindly: an eigenvalue off by 1e-6 leaves a
+    # reconstruction residual of 1e-6, far past EIG_TOL
+    eigh = np.linalg.eigh
+
+    def off(m):
+        w, v = eigh(m)
+        return w + np.array([1e-6, 0.0]), v
+
+    monkeypatch.setattr(hilbert.np.linalg, "eigh", off)
+    with pytest.raises(ArithmeticError, match="^eigendecomposition residual 1e-06$"):
+        eig_hermitian(HermitianOperator([[1.0, 0.0], [0.0, 2.0]]))

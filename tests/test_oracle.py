@@ -380,6 +380,18 @@ def test_eigencheck_memory_does_not_grow_with_the_operator():
     assert _traced_peak(lambda: eigencheck_standard_basis(5, 4, 32)) <= 9 * 2**20
 
 
+def test_eigencheck_table_is_held_to_the_matrix_cap():
+    # at N = 1 the d x d table of off-diagonal entries is the whole matrix,
+    # 16 MiB at d = 1024, so one index past the cap is refused before any
+    # array is made
+    def past_the_cap():
+        with pytest.raises(ValueError, match=f"^d must be at most {oracle.MATRIX_CAP}$"):
+            eigencheck_standard_basis(0, 1, oracle.MATRIX_CAP + 1)
+
+    assert _traced_peak(past_the_cap) < 2**20
+    assert _traced_peak(lambda: eigencheck_standard_basis(0, 1, oracle.MATRIX_CAP)) <= 17 * 2**20
+
+
 @pytest.mark.parametrize("d, n", [(2, 10), (2, 7), (3, 5), (2, 3)])
 def test_operator_entries_are_fractions_rounded_once(d, n):
     # the diagonal holds j/N rounded once; j * fl(1/N) is an ulp off at
