@@ -1,122 +1,88 @@
-"""Frequency operators on product ensembles, with verification tooling."""
+"""Frequency operators on product ensembles, with verification tooling.
 
-from .frequency import (
-    FrequencyReport,
-    FrequencySpec,
-    apply_frequency,
-    cauchy_gap,
-    cauchy_gap_grid,
-    cross_orthogonality,
-    deviation_norm,
-)
-from .hilbert import (
-    HermitianOperator,
-    Projector,
-    StateVector,
-    TruthValue,
-    UnitaryMatrix,
-    eig_hermitian,
-    evolve,
-    inner,
-    random_hermitian,
-    random_projector,
-    random_state,
-    random_unitary,
-    truth_value,
-)
-from .oracle import (
-    DenseVector,
-    dense_apply_frequency,
-    dense_deviation,
-    dense_embed,
-    dense_frequency_matrix,
-    dense_spectrum,
-    eigencheck_standard_basis,
-    kron_power,
-)
-from .product import (
-    ProductState,
-    ProductTerm,
-    add,
-    ensemble,
-    inner_infinite,
-    norm,
-    scale,
-)
-from .sampling import MeasurementRecord, sample_ensemble
-from .scenarios import (
-    BipartiteState,
-    EprReport,
-    WignerBranch,
-    WignerReport,
-    ZeroBranchError,
-    branch_probability,
-    condition_on,
-    epr_check,
-    epr_pair,
-    subsystem_truth_value,
-    wigner_friend_check,
-)
-from .sequential import (
-    SequentialSpec,
-    propagator,
-    succession_frequency,
-    succession_probabilities,
-)
+Every public name is read from its home module: ``import freqop`` loads no
+module, and the first read of a name loads its module (PEP 562), so a
+program loads only the routes it uses. After that read the name is bound
+here and costs a plain lookup.
+"""
 
-__all__ = [
-    "BipartiteState",
-    "DenseVector",
-    "EprReport",
-    "FrequencyReport",
-    "FrequencySpec",
-    "HermitianOperator",
-    "MeasurementRecord",
-    "ProductState",
-    "ProductTerm",
-    "Projector",
-    "SequentialSpec",
-    "StateVector",
-    "TruthValue",
-    "UnitaryMatrix",
-    "WignerBranch",
-    "WignerReport",
-    "ZeroBranchError",
-    "add",
-    "apply_frequency",
-    "branch_probability",
-    "cauchy_gap",
-    "cauchy_gap_grid",
-    "condition_on",
-    "cross_orthogonality",
-    "dense_apply_frequency",
-    "dense_deviation",
-    "dense_embed",
-    "dense_frequency_matrix",
-    "dense_spectrum",
-    "deviation_norm",
-    "eig_hermitian",
-    "eigencheck_standard_basis",
-    "ensemble",
-    "epr_check",
-    "epr_pair",
-    "evolve",
-    "inner",
-    "inner_infinite",
-    "kron_power",
-    "norm",
-    "propagator",
-    "random_hermitian",
-    "random_projector",
-    "random_state",
-    "random_unitary",
-    "sample_ensemble",
-    "scale",
-    "subsystem_truth_value",
-    "succession_frequency",
-    "succession_probabilities",
-    "truth_value",
-    "wigner_friend_check",
-]
+import importlib
+
+_HOME = {
+    "BipartiteState": "scenarios",
+    "DenseVector": "oracle",
+    "EprReport": "scenarios",
+    "FrequencyReport": "frequency",
+    "FrequencySpec": "frequency",
+    "HermitianOperator": "hilbert",
+    "MeasurementRecord": "sampling",
+    "ProductState": "product",
+    "ProductTerm": "product",
+    "Projector": "hilbert",
+    "SequentialSpec": "sequential",
+    "StateVector": "hilbert",
+    "TruthValue": "hilbert",
+    "UnitaryMatrix": "hilbert",
+    "WignerBranch": "scenarios",
+    "WignerReport": "scenarios",
+    "ZeroBranchError": "scenarios",
+    "add": "product",
+    "apply_frequency": "frequency",
+    "branch_probability": "scenarios",
+    "cauchy_gap": "frequency",
+    "cauchy_gap_grid": "frequency",
+    "condition_on": "scenarios",
+    "cross_orthogonality": "frequency",
+    "dense_apply_frequency": "oracle",
+    "dense_deviation": "oracle",
+    "dense_embed": "oracle",
+    "dense_frequency_matrix": "oracle",
+    "dense_spectrum": "oracle",
+    "deviation_norm": "frequency",
+    "eig_hermitian": "hilbert",
+    "eigencheck_standard_basis": "oracle",
+    "ensemble": "product",
+    "epr_check": "scenarios",
+    "epr_pair": "scenarios",
+    "evolve": "hilbert",
+    "inner": "hilbert",
+    "inner_infinite": "product",
+    "kron_power": "oracle",
+    "norm": "product",
+    "propagator": "sequential",
+    "random_hermitian": "hilbert",
+    "random_projector": "hilbert",
+    "random_state": "hilbert",
+    "random_unitary": "hilbert",
+    "sample_ensemble": "sampling",
+    "scale": "product",
+    "subsystem_truth_value": "scenarios",
+    "succession_frequency": "sequential",
+    "succession_probabilities": "sequential",
+    "truth_value": "hilbert",
+    "wigner_friend_check": "scenarios",
+}
+
+__all__ = list(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """Import ``name``'s module and return what it binds to ``name``.
+
+    Only the module's own definition is bound here. A stand-in over it, such
+    as a test's patch or a tracing wrapper, is returned but not kept, so the
+    package reads the definition again once the stand-in is undone.
+    """
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOME[name]}", __name__)
+    value = getattr(module, name)
+    if getattr(value, "__module__", None) == module.__name__:
+        globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -15,6 +15,7 @@ import csv
 import dataclasses
 import enum
 import functools
+import importlib
 import itertools
 import json
 import math
@@ -24,15 +25,31 @@ import traceback
 import click
 
 from . import io
-from .frequency import VERIFY_TOL, FrequencySpec, deviation_norm
-from .hilbert import StateVector
-from .oracle import dense_spectrum
-from .sampling import max_abs_z, sample_ensemble
-from .scenarios import epr_check, wigner_friend_check
-from .sequential import SequentialSpec, succession_frequency, succession_probabilities
-from .verify import DEFAULT_SEED, SEED_MAX, SPECTRUM_TOL, judge, run_all
+from .hilbert import DEFAULT_SEED, SEED_MAX, SPECTRUM_TOL, VERIFY_TOL, StateVector, judge
 
 SCHEMA_VERSION = 1
+
+
+def _lazy(module: str, name: str):
+    """``module.name``, imported at its first call, so a command loads only
+    the route it runs; each call reads whatever the module then binds."""
+    def call(*args, **kwargs):
+        route = importlib.import_module(f".{module}", __package__)
+        return getattr(route, name)(*args, **kwargs)
+    return call
+
+
+FrequencySpec = _lazy("frequency", "FrequencySpec")
+deviation_norm = _lazy("frequency", "deviation_norm")
+dense_spectrum = _lazy("oracle", "dense_spectrum")
+max_abs_z = _lazy("sampling", "max_abs_z")
+sample_ensemble = _lazy("sampling", "sample_ensemble")
+epr_check = _lazy("scenarios", "epr_check")
+wigner_friend_check = _lazy("scenarios", "wigner_friend_check")
+SequentialSpec = _lazy("sequential", "SequentialSpec")
+succession_frequency = _lazy("sequential", "succession_frequency")
+succession_probabilities = _lazy("sequential", "succession_probabilities")
+run_all = _lazy("verify", "run_all")
 
 
 def _cell(v) -> str:
@@ -104,7 +121,7 @@ def _verdict(line: str, ok: bool) -> None:
 
 
 def _judged(line: str, errors: list[float], tolerance: float) -> None:
-    """Judge ``errors`` by `verify.judge` and end the summary ``line`` with
+    """Judge ``errors`` by `hilbert.judge` and end the summary ``line`` with
     the verdict; in ``line``, ``{worst}`` is the worst error and ``{0}``,
     ``{1}``, ... the errors themselves."""
     _, failures, worst = judge(errors, tolerance)

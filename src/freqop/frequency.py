@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix, _index, _measurement_vector, _size
+from .hilbert import VERIFY_TOL, StateVector, UnitaryMatrix, _index, _measurement_vector, _size
 from .product import (
     TAIL_EPS,
     ProductState,
@@ -30,7 +30,6 @@ from .product import (
     scale,
 )
 
-VERIFY_TOL = 1e-10   # absolute tolerance on squared-norm identities
 GRAM_LIMIT = 512     # default crossover from explicit Gram to counted route
 MAX_SLOTS = 2**53    # largest ensemble size that converts to a float exactly
 

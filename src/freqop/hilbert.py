@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 import operator
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -16,6 +17,11 @@ NORM_TOL = 1e-9       # unit-norm / unitarity deviation
 UNIT_EPS = 1e-13      # an accepted vector with |norm^2 - 1| beyond this is rescaled
 HERMITIAN_TOL = 1e-10  # hermiticity / idempotence deviation
 EIG_TOL = 1e-9        # eigendecomposition reconstruction residual
+# Defaults of the checks the CLI and `verify.run_all` judge.
+VERIFY_TOL = 1e-10    # absolute tolerance on squared-norm identities
+SPECTRUM_TOL = 1e-9   # eigenvalue distance from the frequency grid
+DEFAULT_SEED = 42
+SEED_MAX = 2**63 - 1  # key [seed, lane] stays int64; above, seeds merge as float64
 
 
 class TruthValue(enum.Enum):
@@ -61,6 +67,15 @@ def _index(i, dim: int, what: str) -> int:
     if j is None or not 0 <= j < dim:
         raise ValueError(f"{what} {i} out of range for dim {dim}")
     return j
+
+
+def judge(errors: Iterable[float], tol: float) -> tuple[int, int, float]:
+    """Cases, failures and worst error of one check: a case fails unless its
+    error is at most ``tol``. Every suite and CLI check is judged here."""
+    e = np.fromiter(errors, dtype=float)
+    # a NaN error fails its case and, as np.max propagates it, is the worst
+    failures = int(np.count_nonzero(~(e <= tol)))
+    return e.size, failures, float(np.max(e, initial=0.0))
 
 
 def _divide(a: np.ndarray, n: int) -> None:

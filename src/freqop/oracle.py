@@ -23,7 +23,6 @@ from .hilbert import (
     _measurement_vector,
     _size,
 )
-from .product import ProductState
 
 DENSE_CAP = 2**20    # largest dense amplitude vector
 MATRIX_CAP = 1024    # largest explicit operator matrix (side length)
@@ -130,8 +129,8 @@ def kron_power(s: StateVector, n_slots: int) -> DenseVector:
     return DenseVector._adopt(d, n_slots, out)
 
 
-def dense_embed(state: ProductState, n_slots: int) -> DenseVector:
-    """Expand the first ``n_slots`` slots of a product state densely.
+def dense_embed(state, n_slots: int) -> DenseVector:
+    """Expand the first ``n_slots`` slots of a `product.ProductState` densely.
 
     Every term's prefix must fit inside ``n_slots``; slots past a prefix are
     filled with that term's tail. For states whose terms all share one tail
@@ -174,22 +173,23 @@ def _frequency_tiles(
     ``kvec``: the mean over slots of the rank-one projector onto ``kvec``
     acting on that slot alone. A tile is the ``d**m`` contiguous amplitudes
     that share their leading N - m digits, ``d**m`` being the largest power
-    of d at most ``APPLY_TILE``, so every slot acts on a tile while it is in
-    cache. At a leading slot the tile's digit c is fixed, and the tile gains
-    ``kvec[c]`` times the sum over i of ``conj(kvec[i])`` times the tile
-    whose digit is i. A trailing slot alpha is walked in place through the
-    tile's view ``(d**(alpha - N + m), d, rest)``. Indices where the
-    measurement vector is exactly zero are skipped, in the sum and in the
-    output, since the projector is zero there (in the standard basis only
-    index ``k`` is touched). When the one live index holds exactly 1 (the
-    standard basis or a permutation of it), the slot views are added
-    without their two products by 1: the amplitudes are finite, ``x * 1``
-    differs from ``x`` at most in the sign of a zero, and the output starts
-    at +0 and only receives sums, so it never holds -0 and adding either
-    zero leaves the same bits. Every entry gets the same products, added in
-    the same slot order, whatever the tile size, so the bits do not depend
-    on ``APPLY_TILE``; no BLAS routine is called. Each tile is yielded
-    divided by N, in one buffer that the next tile overwrites.
+    of d at most ``APPLY_TILE``, but at least d (one whole slot), so every
+    slot acts on a tile while it is in cache. At a leading slot the tile's
+    digit c is fixed, and the tile gains ``kvec[c]`` times the sum over i of
+    ``conj(kvec[i])`` times the tile whose digit is i. A trailing slot alpha
+    is walked in place through the tile's view ``(d**(alpha - N + m), d,
+    rest)``. Indices where the measurement vector is exactly zero are
+    skipped, in the sum and in the output, since the projector is zero there
+    (in the standard basis only index ``k`` is touched). When the one live
+    index holds exactly 1 (the standard basis or a permutation of it), the
+    slot views are added without their two products by 1: the amplitudes are
+    finite, ``x * 1`` differs from ``x`` at most in the sign of a zero, and
+    the output starts at +0 and only receives sums, so it never holds -0 and
+    adding either zero leaves the same bits. Every entry gets the same
+    products, added in the same slot order, whatever the tile size, so the
+    bits do not depend on ``APPLY_TILE``; no BLAS routine is called. Each
+    tile is yielded divided by N, in one buffer that the next tile
+    overwrites.
 
     On that add-only path every add into entry x adds the tile's own
     ``t[x]``, so ``o[x]`` is +0 plus ``t[x]`` added c(x) times, c(x) being
@@ -209,7 +209,7 @@ def _frequency_tiles(
     kc = kvec.conj()
     first, *rest = np.flatnonzero(kvec)
     unit = not rest and kvec[first] == 1
-    m = 0
+    m = 1
     while m < n and d ** (m + 1) <= APPLY_TILE:
         m += 1
     high, size = n - m, d**m
@@ -410,7 +410,8 @@ def dense_deviation(
     kvec = _measurement_vector(k, s.dim, basis)
     p = abs(complex(np.vdot(kvec, s.amps))) ** 2
     v = kron_power(s, n_slots)
-    scratch = np.empty(min(APPLY_TILE, v.amps.size), dtype=v.amps.dtype)
+    # a tile holds at most APPLY_TILE amplitudes, or one slot's d
+    scratch = np.empty(max(min(APPLY_TILE, v.amps.size), s.dim), dtype=v.amps.dtype)
     sums = []
     for block, o in _frequency_tiles(kvec, v):
         diff = scratch[: o.size]

@@ -163,7 +163,7 @@ def epr_check(alpha: complex, beta: complex) -> EprReport:
     ``|up>|down>``, making "second spin down" TRUE; the check passes when it
     does and the residual to that product is at most ``PRODUCT_TOL``
     (``verify-all --tolerance`` reaches the residual only through
-    `verify.judge`). ``alpha`` and ``beta`` must have unit norm, and a pair
+    `hilbert.judge`). ``alpha`` and ``beta`` must have unit norm, and a pair
     for which any of the four propositions is already definite is refused:
     that scenario would be empty.
     """

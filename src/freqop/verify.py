@@ -8,27 +8,27 @@ fixed seed. The CLI's ``verify-all`` command is a thin formatter over it.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import (
+from .frequency import FrequencySpec, cauchy_gap_grid, cross_orthogonality, deviation_norm
+from .hilbert import (
+    DEFAULT_SEED,
+    SEED_MAX,
+    SPECTRUM_TOL,
     VERIFY_TOL,
-    FrequencySpec,
-    cauchy_gap_grid,
-    cross_orthogonality,
-    deviation_norm,
+    _integer,
+    judge,
+    random_hermitian,
+    random_state,
 )
-from .hilbert import _integer, random_hermitian, random_state
 from .oracle import dense_deviation, dense_frequency_matrix
 from .sampling import sample_ensemble
 from .scenarios import PRODUCT_TOL, epr_check, wigner_friend_check
 from .sequential import SequentialSpec, succession_frequency, succession_probabilities
 
-DEFAULT_SEED = 42
-SEED_MAX = 2**63 - 1  # key [seed, lane] stays int64; above, seeds merge as float64
-SPECTRUM_TOL = 1e-9
 SAMPLING_Z_LIMIT = 5.0
 
 
@@ -38,15 +38,6 @@ class SuiteResult:
     cases: int
     failures: int
     max_error: float
-
-
-def judge(errors: Iterable[float], tol: float) -> tuple[int, int, float]:
-    """Cases, failures and worst error of one check: a case fails unless its
-    error is at most ``tol``. Every suite and CLI check is judged here."""
-    e = np.fromiter(errors, dtype=float)
-    # a NaN error fails its case and, as np.max propagates it, is the worst
-    failures = int(np.count_nonzero(~(e <= tol)))
-    return e.size, failures, float(np.max(e, initial=0.0))
 
 
 def _rng(seed: int, lane: int) -> np.random.Generator:

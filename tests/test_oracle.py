@@ -189,6 +189,24 @@ def test_dense_deviation_at_the_cap_matches_the_closed_form(d, n, rng):
     assert abs(dev**2 - closed_sq) <= 1e-12 * closed_sq
 
 
+def test_a_tile_spans_at_least_one_whole_slot(rng, monkeypatch):
+    # at N = 1 past APPLY_TILE, and at any N below a tile of d, a tile is one
+    # whole slot of d amplitudes, never a single amplitude
+    d = 2 * oracle.APPLY_TILE
+    s = random_state(d, rng)
+    v = kron_power(s, 1)
+    for k in (0, d - 1):
+        tiles = oracle._frequency_tiles(_measurement_vector(k, d, None), v)
+        assert [o.size for _, o in tiles] == [d]
+        p = abs(s.amps[k]) ** 2
+        closed_sq = p - p * p
+        assert abs(dense_deviation(s, k, 1) ** 2 - closed_sq) <= 1e-12 * closed_sq
+    monkeypatch.setattr(oracle, "APPLY_TILE", 1)
+    v = kron_power(random_state(3, rng), 4)
+    tiles = oracle._frequency_tiles(_measurement_vector(1, 3, None), v)
+    assert [block.stop - block.start for block, _ in tiles] == [3] * 27
+
+
 @pytest.mark.parametrize("d, n", [(2, 4), (3, 3)])
 def test_eigencheck_agrees_with_the_action(d, n):
     size = d**n
@@ -652,7 +670,7 @@ def test_routes_are_independent_by_import():
     # call it, and it never calls them
     for module in ("frequency", "product", "sequential"):
         assert "oracle" not in _freqop_imports(module), module
-    assert not _freqop_imports("oracle") & {"frequency", "sequential"}
+    assert not _freqop_imports("oracle") & {"frequency", "product", "sequential"}
 
 
 def test_only_product_reads_the_tail_class_record():
