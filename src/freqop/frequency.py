@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import VERIFY_TOL, StateVector, UnitaryMatrix, _index, _measurement_vector, _size
+from .hilbert import StateVector, UnitaryMatrix, _index, _measurement_vector, _size
 from .product import (
     TAIL_EPS,
     ProductState,
@@ -200,22 +200,21 @@ def cauchy_gap_grid(
     are NaN. Term alpha of ``n_max`` has the measurement vector at slot
     alpha alone, so it shares a slot with itself only. The class-pair kernel
     of every gram scalar product joins these terms with themselves once and
-    gives the term-order prefix sums of both rank-one factors and of the
-    corrections; each (m, n) pair recombines them, weighted by the
-    coefficients ``a/n - a/m`` up to slot m and ``a/n`` up to slot n.
+    gives the term-order prefix sums of one rank-one factor (the other is
+    its conjugate) and of the corrections; each (m, n) pair recombines them
+    with the coefficients ``a/n - a/m`` up to slot m and ``a/n`` up to n.
     """
     n_max = _size(n_max, "n_max", lo=1)
     kvec = _measurement_vector(k, s.dim, basis)
     a = complex(np.vdot(kvec, s.amps))
     block = _one_edit_terms(s, kvec, n_max)
-    ((_, _, xs, ys, _, _, corr),) = _class_pair_sums(block, block)
+    ((_, _, _, ys, _, _, corr),) = _class_pair_sums(block, block)
     es = np.cumsum(corr)
     m = np.arange(1, n_max + 1)[:, None]
     n = m.T
-    sx = a.conjugate() * (xs[n - 1] / n - xs[m - 1] / m)
     sy = a * (ys[n - 1] / n - ys[m - 1] / m)
     se = abs(a) ** 2 * ((1 / n - 1 / m) ** 2 * es[m - 1] + (es[n - 1] - es[m - 1]) / n**2)
-    gap_sq = np.maximum((sx * sy + se).real, 0.0)
+    gap_sq = np.maximum((sy.conj() * sy + se).real, 0.0)
     return np.where(m <= n, gap_sq, np.nan)
 
 

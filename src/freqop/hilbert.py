@@ -160,13 +160,10 @@ class _SquareMatrix:
         m = _as_complex_array(entries, what, 2)
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"{what} must be a square 2-D array")
-        self._check(m)
+        self._check(m)  # each subclass defines its own check
         m = m.copy()
         m.setflags(write=False)
         self._entries = m
-
-    def _check(self, m: np.ndarray) -> None:
-        pass
 
     @property
     def entries(self) -> np.ndarray:

@@ -354,35 +354,32 @@ def scale(a: ProductState, c: complex) -> ProductState:
     )
 
 
+def _side(c: _TailClass, tail: np.ndarray):
+    """One side of a join of ``c`` with a class of tail ``tail``: the term of
+    each edit, the most edits of a term, each edit's overlap ``<tail|e>``
+    and each term's product of its edits' overlaps, taken in edit order."""
+    max_count = int(c.counts.max(initial=0))
+    overlaps = _dot(tail, c.vecs)
+    return (np.arange(c.counts.size).repeat(c.counts), max_count, overlaps,
+            _segment_products(overlaps, c.offsets[:-1], c.counts, max_count))
+
+
 def _class_factors(ca: _TailClass, cb: _TailClass):
     """Factors of the term-pair products of one tail class of each state.
 
     An edit of term i meets tail b at every slot term j leaves alone, so
     the pair's product, coefficients excluded, is ``x_i y_j`` with
     ``x_i = prod <e_i(alpha)|tail_b>`` over term i's edits and
-    ``y_j = prod <tail_a|e_j(beta)>`` over term j's. The pairs that share
-    an edited slot, found by joining the edits on their sorted slots, are
-    the exceptions: they come back as arrays ``(i, j, exact product)``, in
-    term order, each pair once.
+    ``y_j = prod <tail_a|e_j(beta)>`` over term j's. Both sides follow one
+    rule: the b side is ``_side(cb, tail_a)``, and the a side the conjugate
+    of ``_side(ca, tail_b)``, which a class joined with itself reads off its
+    b side. The pairs that share an edited slot, found by joining the edits
+    on their sorted slots, are the exceptions: they come back as arrays
+    ``(i, j, exact product)``, in term order, each pair once.
     """
-    # the term of each edit and the most edits of a term, derived once for
-    # a class joined with itself
-    owner_a = np.arange(ca.counts.size).repeat(ca.counts)
-    max_count_a = int(ca.counts.max(initial=0))
-    if cb is ca:
-        owner_b, max_count_b = owner_a, max_count_a
-    else:
-        owner_b = np.arange(cb.counts.size).repeat(cb.counts)
-        max_count_b = int(cb.counts.max(initial=0))
-    yb = _dot(ca.tail, cb.vecs)
-    y = _segment_products(yb, cb.offsets[:-1], cb.counts, max_count_b)
-    if cb is ca:
-        # conjugation commutes with every product, so x = conj(y) factor by
-        # factor, up to the sign of a zero part
-        xa, x = yb.conj(), y.conj()
-    else:
-        xa = _dot(cb.tail, ca.vecs).conj()
-        x = _segment_products(xa, ca.offsets[:-1], ca.counts, max_count_a)
+    owner_b, max_count_b, yb, y = side_b = _side(cb, ca.tail)
+    owner_a, max_count_a, xa, x = side_b if cb is ca else _side(ca, cb.tail)
+    xa, x = xa.conj(), x.conj()
     # every meeting (edit e of a, edit f of b) on one slot, in a's edit
     # order: b's edits sorted by slot, stably, then searched
     order = cb.slots.argsort(kind="stable")
@@ -430,8 +427,10 @@ def _class_pair_sums(a: ProductState, b: ProductState):
     cumulative sums, in term order, of ``conj(c_i) x_i`` and ``c_j y_j`` of
     `_class_factors`, and ``corr[q]`` is what shared pair ``(i[q], j[q])``
     adds to their rank-one product: its exact product minus ``x_i y_j``,
-    times ``conj(c_i) c_j``. Class pairs whose tails fail the tail rule are
-    skipped.
+    times ``conj(c_i) c_j``. As in `_class_factors`, the a side is the
+    conjugate of the b side's rule, ``sa = conj(cumsum(c_i conj(x_i)))``,
+    so a class joined with itself has ``sa = conj(sb)``. Class pairs whose
+    tails fail the tail rule are skipped.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
@@ -440,22 +439,13 @@ def _class_pair_sums(a: ProductState, b: ProductState):
             if abs(complex(_dot(ka.tail, kb.tail)) - 1.0) > TAIL_EPS:
                 continue
             x, y, (i, j, g) = _class_factors(ka, kb)
-            ca, cb = ka.coeff.conj(), kb.coeff
-            # one pass of products: conj(c_i) x_i, c_j y_j, then per shared
-            # pair conj(c_i) c_j and x_i y_j. In a class joined with itself
-            # conj(c_i) x_i = conj(c_i y_i), so sa is conj(sb), up to the
-            # sign of a zero part, and only sb is computed
-            if kb is ka:
-                t = y.size
-                prod = _cmul(np.concatenate((cb, ca[i], x[i])),
-                             np.concatenate((y, cb[j], y[j])))
-                sb = prod[:t].cumsum()
-                sa = sb.conj()
-            else:
-                t = x.size + y.size
-                prod = _cmul(np.concatenate((ca, cb, ca[i], x[i])),
-                             np.concatenate((x, y, cb[j], y[j])))
-                sa, sb = prod[:x.size].cumsum(), prod[x.size:t].cumsum()
+            # one pass of products: c_j y_j, then per shared pair
+            # conj(c_i) c_j and x_i y_j
+            t = y.size
+            prod = _cmul(np.concatenate((kb.coeff, ka.coeff[i].conj(), x[i])),
+                         np.concatenate((y, kb.coeff[j], y[j])))
+            sb = prod[:t].cumsum()
+            sa = sb.conj() if kb is ka else _cmul(ka.coeff, x.conj()).cumsum().conj()
             yield m, n, sa, sb, i, j, _cmul(prod[t:t + i.size], g - prod[t + i.size:])
 
 

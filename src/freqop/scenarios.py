@@ -50,16 +50,8 @@ class BipartiteState:
     def amps(self) -> np.ndarray:
         return self._amps
 
-    @property
-    def dim_first(self) -> int:
-        return self._amps.shape[0]
-
-    @property
-    def dim_second(self) -> int:
-        return self._amps.shape[1]
-
     def __repr__(self) -> str:
-        return f"BipartiteState(dims=({self.dim_first}, {self.dim_second}))"
+        return f"BipartiteState(dims={self._amps.shape})"
 
 
 def _project(state: BipartiteState, side: str, p: Projector) -> np.ndarray:

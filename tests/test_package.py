@@ -6,6 +6,7 @@ import importlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +111,19 @@ def test_each_command_loads_only_its_route(tmp_path):
         modules = ast.literal_eval(out.splitlines()[-1])
         loaded = {m.partition(".")[2] for m in modules if m.startswith("freqop.")}
         assert loaded - {"__main__"} == runs[command][0], command
+
+
+def test_every_imported_name_is_read_by_its_module():
+    # a name a module imports but never reads is an alias kept for callers
+    # of an old location; each name lives in, and is read from, its home
+    unread = {}
+    for path in sorted(Path(freqop.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - read:
+            unread[path.name] = sorted(imported - read)
+    assert not unread

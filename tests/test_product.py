@@ -238,12 +238,11 @@ def test_property_fused_self_products_keep_the_bits(head, rest):
 
 
 def test_a_class_joined_with_itself_has_the_bits_of_a_join_with_its_copy(rng):
-    # a self-join takes x = conj(y) and sa = conj(sb) instead of computing
-    # them; against a distinct copy of the classes both are computed. sb and
-    # the shared pairs keep every bit; sa and the corrections may differ in
-    # the sign of a zero part (conj(+0) is -0: sa does for (0.6, 0.8i) in the
-    # standard basis), so they are compared with +0 added; the totals, which
-    # start at +0, keep every bit
+    # a self-join reads x = conj(y) and sa = conj(sb) off its b side; against
+    # a distinct copy of the classes the a side is computed, by the same rule.
+    # sb and the shared pairs keep every bit; sa and the corrections are
+    # compared with +0 added, so the sign of a zero part is left open; the
+    # totals, which start at +0, keep every bit
     for s, basis in ((random_state(3, rng), random_unitary(3, rng)), (StateVector([0.6, 0.8j]), None)):
         psi = ensemble(s)
         phi = apply_frequency(FrequencySpec(1, 5, basis), apply_frequency(FrequencySpec(0, 3), psi))
@@ -262,6 +261,44 @@ def test_a_class_joined_with_itself_has_the_bits_of_a_join_with_its_copy(rng):
                 assert (u + 0).tobytes() == (v + 0).tobytes()
         assert inner_infinite(a, a) == inner_infinite(a, b)
         assert _self_products(phi, a) == (_self_product(phi), _self_product(a))
+
+
+def _cross_join_states(seed):
+    # two states of six terms over two tails of C^3, alternating; the terms
+    # edit slots 1 to 3, none, 1 to 2, 1 to 4, 1 and 1 to 2, so each class of
+    # a meets a distinct class of b on its tail, with several shared slots
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    tails = [random_state(3, rng).amps for _ in range(2)]
+
+    def state():
+        terms = []
+        for n_edits, tail in zip((3, 0, 2, 4, 1, 2), tails * 3):
+            prefix = rng.standard_normal((n_edits, 3)) + 1j * rng.standard_normal((n_edits, 3))
+            terms.append(ProductTerm(complex(*rng.standard_normal(2)), prefix, tail))
+        return ProductState(terms)
+
+    return state(), state()
+
+
+@pytest.mark.parametrize("seed, ab, ba, head, total", [
+    (1, ("-0x1.8384bd6b7c4b3p+6", "0x1.9e486372d39adp+5"),
+     ("-0x1.8384bd6b7c4b3p+6", "-0x1.9e486372d39adp+5"),
+     "0x1.3b458991e87a7p+11", "0x1.0436ca5cb0c2ep+13"),
+    (2, ("-0x1.804796c06f758p+3", "-0x1.c8e1e4fb68360p+6"),
+     ("-0x1.804796c06f760p+3", "0x1.c8e1e4fb68360p+6"),
+     "0x1.5555f7541d5b9p+11", "0x1.66d15664a857cp+12"),
+    (3, ("-0x1.8665fee70a2aap+8", "0x1.00af2c471d794p+8"),
+     ("-0x1.8665fee70a2aap+8", "-0x1.00af2c471d795p+8"),
+     "0x1.3789c960fc6b7p+11", "0x1.25c148f497600p+13"),
+])
+def test_a_cross_join_keeps_its_bits(seed, ab, ba, head, total):
+    # distinct classes on one tail joined both ways, and the self products
+    # of a and a + b, pinned to the last bit; <a|b> and conj(<b|a>) differ
+    # in it for seeds 2 and 3, since each sums its term pairs in its order
+    a, b = _cross_join_states(seed)
+    for x, expected in ((inner_infinite(a, b), ab), (inner_infinite(b, a), ba)):
+        assert (x.real.hex(), x.imag.hex()) == expected
+    assert tuple(v.hex() for v in _self_products(a, add(a, b))) == (head, total)
 
 
 def test_dead_tails_give_exact_zero_despite_huge_prefix():
