@@ -393,10 +393,8 @@ def wigner(alpha, beta, fmt):
     with _usage_errors():
         rep = wigner_friend_check(a, b)
     columns = [_columns(br) for br in rep.branches]  # never empty: the weights sum to 1
-    # unlike epr's, the JSON report leaves out the inputs alpha and beta
-    report = {k: v for k, v in _plain(rep).items() if k not in ("alpha", "beta")}
     _emit(fmt, list(columns[0]), [list(c.values()) for c in columns],
-          {"command": "wigner", **report})
+          {"command": "wigner", **_plain(rep)})
     _verdict(f"wigner: {'pass' if rep.passed else 'FAIL'}", rep.passed)
 
 

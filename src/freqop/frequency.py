@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import StateVector, UnitaryMatrix, _index, _measurement_vector, _size
+from .hilbert import StateVector, UnitaryMatrix, _index, _integer, _measurement_vector, _size
 from .product import (
     TAIL_EPS,
     ProductState,
@@ -51,7 +51,7 @@ class FrequencySpec:
         object.__setattr__(self, "n_slots", _size(self.n_slots, "n_slots", 1, MAX_SLOTS))
         if self.basis is not None:
             _index(self.k, self.basis.dim, "outcome")
-        elif self.k < 0:
+        elif (_integer(self.k) or 0) < 0:  # any other non-index is refused at use
             raise ValueError("outcome index must be non-negative")
 
 

@@ -201,12 +201,15 @@ class WignerBranch:
 class WignerReport:
     """Outcome of the observed-observer check (see `wigner_friend_check`)."""
 
-    alpha: complex
-    beta: complex
     pre_object_a: TruthValue
     pre_object_b: TruthValue
     branches: tuple[WignerBranch, ...]
     passed: bool
+
+    @property
+    def product_residual(self) -> float:
+        """The worst residual to a product state over the branches."""
+        return max((b.product_residual for b in self.branches), default=0.0)
 
 
 def wigner_friend_check(alpha: complex, beta: complex) -> WignerReport:
@@ -253,8 +256,6 @@ def wigner_friend_check(alpha: complex, beta: complex) -> WignerReport:
         )
     passed = bool(branches) and all(b.consistent for b in branches)
     return WignerReport(
-        alpha=alpha,
-        beta=beta,
         pre_object_a=pre_a,
         pre_object_b=pre_b,
         branches=tuple(branches),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .frequency import FrequencyReport, FrequencySpec, deviation_norm
+from .frequency import MAX_SLOTS, FrequencyReport, FrequencySpec, deviation_norm
 from .hilbert import HermitianOperator, UnitaryMatrix, _index, _size, evolve
 
 
@@ -34,7 +34,7 @@ class SequentialSpec:
     def __post_init__(self):
         _index(self.m, self.hamiltonian.dim, "prepared record")
         _index(self.n, self.hamiltonian.dim, "succeeding record")
-        _size(self.successions, "successions", lo=1)
+        _size(self.successions, "successions", 1, MAX_SLOTS)
         if not np.isfinite(self.dt):
             raise ValueError("dt must be finite")
 

@@ -46,18 +46,15 @@ def _rng(seed: int, lane: int) -> np.random.Generator:
 
 def _suite_deviation(seed: int) -> Iterator[float]:
     rng = _rng(seed, 1)
+    ladder = [(n, "gram") for n in (1, 2, 8)] + [(n, "counted") for n in (100, 10**4, 10**6)]
     for d in (2, 3, 4, 5, 2, 3, 4, 5):
         s = random_state(d, rng)
         k = int(rng.integers(d))
-        for n in (1, 2, 8):
-            rep = deviation_norm(FrequencySpec(k, n), s, method="gram")
+        for n, method in ladder:
+            rep = deviation_norm(FrequencySpec(k, n), s, method=method)
             yield abs(rep.deviation_exact**2 - rep.deviation_closed**2)
             if d <= 4 and n == 8:
-                oracle_sq = dense_deviation(s, k, n) ** 2
-                yield abs(rep.deviation_exact**2 - oracle_sq)
-        for n in (100, 10**4, 10**6):
-            rep = deviation_norm(FrequencySpec(k, n), s, method="counted")
-            yield abs(rep.deviation_exact**2 - rep.deviation_closed**2)
+                yield abs(rep.deviation_exact**2 - dense_deviation(s, k, n) ** 2)
 
 
 def _suite_norm(seed: int) -> Iterator[float]:
@@ -76,17 +73,14 @@ def _suite_norm(seed: int) -> Iterator[float]:
 def _suite_cauchy(seed: int) -> Iterator[float]:
     rng = _rng(seed, 3)
     n_max = 32
+    m, n = np.triu_indices(n_max)  # every M <= N, row by row
+    bound = 1.0 / (m + 1) - 1.0 / (n + 1)
     for d in (2, 3, 5):
         s = random_state(d, rng)
         k = int(rng.integers(d))
         p = abs(s.amps[k]) ** 2
-        grid = cauchy_gap_grid(k, s, n_max)
-        for m in range(1, n_max + 1):
-            for n in range(m, n_max + 1):
-                gap = grid[m - 1, n - 1]
-                closed = (1.0 / m - 1.0 / n) * (p - p * p)
-                bound_excess = max(gap - (1.0 / m - 1.0 / n), 0.0)
-                yield max(abs(gap - closed), bound_excess)
+        gap = cauchy_gap_grid(k, s, n_max)[m, n]
+        yield from np.maximum(np.abs(gap - bound * (p - p * p)), np.maximum(gap - bound, 0.0))
 
 
 def _suite_orthogonality(seed: int) -> Iterator[float]:
@@ -143,23 +137,12 @@ def _random_pair(rng: np.random.Generator) -> tuple[complex, complex]:
             return complex(v[0]), complex(v[1])
 
 
-def _suite_epr(seed: int) -> Iterator[float]:
-    rng = _rng(seed, 6)
-    pairs = [(1 / math.sqrt(2), 1 / math.sqrt(2))]
-    pairs += [_random_pair(rng) for _ in range(5)]
-    for alpha, beta in pairs:
-        rep = epr_check(alpha, beta)
+def _suite_conditioning(seed: int, lane: int, check, fixed) -> Iterator[float]:
+    """Run ``check`` on the ``fixed`` weight pairs, then on five random ones."""
+    rng = _rng(seed, lane)
+    for alpha, beta in fixed + [_random_pair(rng) for _ in range(5)]:
+        rep = check(alpha, beta)
         yield rep.product_residual if rep.passed else math.inf
-
-
-def _suite_wigner(seed: int) -> Iterator[float]:
-    rng = _rng(seed, 7)
-    pairs = [(1 / math.sqrt(2), 1 / math.sqrt(2)), (1.0, 0.0)]
-    pairs += [_random_pair(rng) for _ in range(5)]
-    for alpha, beta in pairs:
-        rep = wigner_friend_check(alpha, beta)
-        worst = max((b.product_residual for b in rep.branches), default=0.0)
-        yield worst if rep.passed else math.inf
 
 
 def _suite_sampling(seed: int) -> Iterator[float]:
@@ -185,6 +168,7 @@ def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[Su
     tol = VERIFY_TOL if tolerance is None else tolerance
     spec_tol = SPECTRUM_TOL if tolerance is None else tolerance
     residual_tol = PRODUCT_TOL if tolerance is None else tolerance
+    half = (1 / math.sqrt(2), 1 / math.sqrt(2))
     suites = [
         ("deviation-identity", _suite_deviation(seed), tol),
         ("norm-identity", _suite_norm(seed), tol),
@@ -192,8 +176,9 @@ def run_all(seed: int = DEFAULT_SEED, tolerance: float | None = None) -> list[Su
         ("orthogonality", _suite_orthogonality(seed), 0.0),
         ("spectrum", _suite_spectrum(), spec_tol),
         ("sequential", _suite_sequential(seed), tol),
-        ("epr", _suite_epr(seed), residual_tol),
-        ("wigner", _suite_wigner(seed), residual_tol),
+        ("epr", _suite_conditioning(seed, 6, epr_check, [half]), residual_tol),
+        ("wigner", _suite_conditioning(seed, 7, wigner_friend_check, [half, (1.0, 0.0)]),
+         residual_tol),
         ("sampling", _suite_sampling(seed), SAMPLING_Z_LIMIT),
     ]
     return [SuiteResult(name, *judge(errors, t)) for name, errors, t in suites]

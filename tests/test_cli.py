@@ -242,6 +242,22 @@ def test_ensemble_size_beyond_2_pow_53_is_a_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_successions_beyond_2_pow_53_is_refused_by_its_own_name(runner, tmp_path):
+    # the bound was FrequencySpec's, so the refusal named n_slots
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "rows": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+    }))
+    result = runner.invoke(main, [
+        "sequential", "--hamiltonian", str(path), "--dt", "0.5",
+        "--m", "0", "--n", "1", "--successions", str(10**20),
+    ])
+    assert result.exit_code == 2
+    assert "Error: successions must be at most 9007199254740992\n" in result.stderr
+    assert result.stdout == ""
+
+
 def test_epr_command(runner):
     result = runner.invoke(main, ["epr", "--format", "json"])
     assert result.exit_code == 0

@@ -277,7 +277,7 @@ INDEX_CALLS = {
 }
 
 
-@pytest.mark.parametrize("k", [True, np.True_, 0.5, 1.5], ids=repr)
+@pytest.mark.parametrize("k", [True, np.True_, 0.5, 1.5, "x", None], ids=repr)
 @pytest.mark.parametrize("route", INDEX_CALLS)
 def test_an_index_is_an_integer_and_not_a_bool(route, k):
     # a bool indexed the vector as a mask, (0.6, 0.8) read p = 1.96 on every
@@ -343,6 +343,7 @@ BOUND_CALLS = [
     (lambda: FrequencySpec(0, MAX_SLOTS + 1), f"n_slots must be at most {MAX_SLOTS}"),
     (lambda: cauchy_gap_grid(0, S68, 0), "n_max must be at least 1"),
     (lambda: SequentialSpec(H_X, 0.1, 0, 1, 0), "successions must be at least 1"),
+    (lambda: SequentialSpec(H_X, 0.1, 0, 1, MAX_SLOTS + 1), f"successions must be at most {MAX_SLOTS}"),
     (lambda: cauchy_gap(0, 0, 4, S68), "m must be at least 1"),
     (lambda: cauchy_gap(0, 5, 4, S68), "n must be at least 5"),
     (lambda: cross_orthogonality(0, 4, 0, S68, S_PLUS), "m must be at least 1"),
@@ -367,6 +368,7 @@ def test_a_size_at_its_bound_is_accepted():
     assert FrequencySpec(0, MAX_SLOTS).n_slots == MAX_SLOTS
     assert cauchy_gap_grid(0, S68, 1).shape == (1, 1)
     assert succession_frequency(SequentialSpec(H_X, 0.1, 0, 1, 1)).n_slots == 1
+    assert SequentialSpec(H_X, 0.1, 0, 1, MAX_SLOTS).successions == MAX_SLOTS
     assert cauchy_gap(0, 1, 1, S68) == 0.0
     assert cauchy_gap(0, 4, 4, S68) == 0.0
     assert cross_orthogonality(0, 1, 1, S68, S_PLUS) == 0.0

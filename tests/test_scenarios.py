@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -199,3 +200,12 @@ def test_wigner_check_keeps_a_small_but_possible_branch():
     assert [br.reply for br in rep.branches] == ["a", "b"]
     npt.assert_allclose(rep.branches[0].probability, 4.84e-10, rtol=1e-8)
     assert all(br.consistent for br in rep.branches)
+
+
+def test_wigner_report_holds_its_worst_branch_residual_and_not_the_weights():
+    for alpha, beta in ((INV_SQRT2, INV_SQRT2), (1.0, 0.0), (2.2e-5, 1.0)):
+        rep = wigner_friend_check(alpha, beta)
+        assert rep.product_residual == max(b.product_residual for b in rep.branches)
+        assert [f.name for f in dataclasses.fields(rep)] == [
+            "pre_object_a", "pre_object_b", "branches", "passed",
+        ]

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from freqop import verify
+from freqop.frequency import cauchy_gap_grid
+from freqop.hilbert import random_state
 from freqop.scenarios import wigner_friend_check
 from freqop.verify import run_all
 
@@ -49,3 +51,40 @@ def test_seed_outside_the_key_range_is_refused_before_any_suite(monkeypatch):
     for bad in (-1, 2**63, 2**63 + 1, True):
         with pytest.raises(ValueError, match="seed"):
             run_all(seed=bad)
+
+
+def test_each_suite_draws_from_its_own_lane_once(monkeypatch):
+    # the epr and wigner suites share one rule and differ by lane (6 and 7)
+    lanes = []
+    rng = verify._rng
+
+    def recorded(seed, lane):
+        lanes.append(lane)
+        return rng(seed, lane)
+
+    monkeypatch.setattr(verify, "_rng", recorded)
+    run_all(seed=42)
+    assert sorted(lanes) == list(range(1, 9))
+
+
+def _cauchy_per_gap(seed):
+    # the suite's former loop over each (M, N), kept as the reference for its bits
+    rng = verify._rng(seed, 3)
+    for d in (2, 3, 5):
+        s = random_state(d, rng)
+        k = int(rng.integers(d))
+        p = abs(s.amps[k]) ** 2
+        grid = cauchy_gap_grid(k, s, 32)
+        for m in range(1, 33):
+            for n in range(m, 33):
+                gap = grid[m - 1, n - 1]
+                closed = (1.0 / m - 1.0 / n) * (p - p * p)
+                yield max(abs(gap - closed), max(gap - (1.0 / m - 1.0 / n), 0.0))
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2**63 - 1])
+def test_cauchy_suite_keeps_the_bits_of_a_loop_over_each_gap(seed):
+    got = np.fromiter(verify._suite_cauchy(seed), dtype=float)
+    want = np.fromiter(_cauchy_per_gap(seed), dtype=float)
+    assert got.size == 3 * 32 * 33 // 2
+    assert got.tobytes() == want.tobytes()
