@@ -57,6 +57,13 @@ def _complex_from_pair(pair, what: str) -> complex:
     return complex(re, im)
 
 
+def _pairs(items, n: int, name: str, what: str) -> list[complex]:
+    """``items`` as ``n`` [re, im] pairs; errors call it ``name``, entry j ``what[j]``."""
+    if not isinstance(items, list) or len(items) != n:
+        raise ValueError(f"{name} must be a list of {n} [re, im] pairs")
+    return [_complex_from_pair(p, f"{what}[{j}]") for j, p in enumerate(items)]
+
+
 def _pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
@@ -76,12 +83,7 @@ def _header(obj: Any, kind: str, key: str) -> tuple[int, Any]:
 
 def state_from_dict(obj: Any, *, normalize: bool = False) -> StateVector:
     dim, amps = _header(obj, "state", "amps")
-    if not isinstance(amps, list) or len(amps) != dim:
-        raise ValueError(f'"amps" must be a list of {dim} [re, im] pairs')
-    a = np.array(
-        [_complex_from_pair(p, f"amps[{i}]") for i, p in enumerate(amps)],
-        dtype=np.complex128,
-    )
+    a = np.array(_pairs(amps, dim, '"amps"', "amps"), dtype=np.complex128)
     return StateVector(a, normalize=normalize)
 
 
@@ -99,10 +101,7 @@ def matrix_array_from_dict(obj: Any) -> np.ndarray:
         raise ValueError(f'"rows" must be a list of {dim} rows')
     out = np.empty((dim, dim), dtype=np.complex128)
     for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != dim:
-            raise ValueError(f"row {i} must be a list of {dim} [re, im] pairs")
-        for j, p in enumerate(row):
-            out[i, j] = _complex_from_pair(p, f"rows[{i}][{j}]")
+        out[i] = _pairs(row, dim, f"row {i}", f"rows[{i}]")
     return out
 
 

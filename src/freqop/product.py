@@ -17,7 +17,7 @@ numerically explicit.
 A state is stored as one array record per tail class (`_TailClass`): a
 coefficient vector and the edits in CSR form, so the scalar product costs a
 fixed number of numpy operations per pair of classes, not Python work per
-term. ``ProductTerm`` is the one-term view that builds and reads them.
+term. A ``ProductTerm`` is a one-term record of the same kind.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .hilbert import (
     StateVector,
     _as_complex_array,
     _divide,
+    _integer,
     _size,
     _unit_amplitudes,
 )
@@ -110,19 +111,6 @@ class _TailClass:
         self.vecs = vecs
 
 
-def _concat(classes: list[_TailClass]) -> _TailClass:
-    """One class holding the terms of ``classes`` (equal tails) in order."""
-    if len(classes) == 1:
-        return classes[0]
-    return _TailClass(
-        classes[0].tail,
-        np.concatenate([c.coeff for c in classes]),
-        np.concatenate([c.counts for c in classes]),
-        np.concatenate([c.slots for c in classes]),
-        np.concatenate([c.vecs for c in classes]),
-    )
-
-
 def _with_slot(c: _TailClass, term, slot, v: np.ndarray, coeff) -> _TailClass:
     """Terms ``term`` of ``c``, with coefficients ``coeff``, where output term
     m has slot ``slot[m]`` set to ``v``: in place if the term edits that slot,
@@ -147,13 +135,16 @@ def _with_slot(c: _TailClass, term, slot, v: np.ndarray, coeff) -> _TailClass:
     return _TailClass(c.tail, coeff, counts, slots, vecs)
 
 
-def _by_tail(items) -> list[list]:
-    """``items`` (each with a ``tail``) grouped by equal tail, in order of
-    first appearance."""
+def _by_tail(classes: list[_TailClass]) -> list[_TailClass]:
+    """One class per tail of ``classes``, in order of first appearance,
+    holding the terms of the classes of that tail in order."""
     groups = {}
-    for it in items:
-        groups.setdefault(it.tail.tobytes(), []).append(it)
-    return list(groups.values())
+    for c in classes:
+        groups.setdefault(c.tail.tobytes(), []).append(c)
+    return [g[0] if len(g) == 1 else
+            _TailClass(g[0].tail, *(np.concatenate([getattr(c, f) for c in g])
+                                    for f in ("coeff", "counts", "slots", "vecs")))
+            for g in groups.values()]
 
 
 class ProductTerm:
@@ -162,10 +153,11 @@ class ProductTerm:
     Slot ``i`` of ``prefix`` edits position ``i`` (1-based). Edited slots may
     have any norm (projections happen in place there); the tail must be a
     unit vector, since it repeats forever, and is checked and rescaled as a
-    ``StateVector``'s amplitudes are.
+    ``StateVector``'s amplitudes are. The term is held as a one-term
+    `_TailClass`, the record a state keeps per tail.
     """
 
-    __slots__ = ("_coeff", "_slots", "_vecs", "_tail")
+    __slots__ = ("_class",)
 
     def __init__(self, coeff: complex, prefix, tail):
         c = complex(coeff)
@@ -181,65 +173,54 @@ class ProductTerm:
                     f"prefix slot {alpha} has dim {a.size}, tail has dim {d}"
                 )
             vecs.append(a)
-        self._coeff = c
-        self._slots = np.arange(1, len(vecs) + 1)
-        self._vecs = np.array(vecs, dtype=np.complex128).reshape(len(vecs), d)
-        self._vecs.setflags(write=False)
-        self._tail = tail_arr
+        self._class = _TailClass(
+            tail_arr, np.array([c]), np.array([len(vecs)]), np.arange(1, len(vecs) + 1),
+            np.array(vecs, dtype=np.complex128).reshape(len(vecs), d))
+
+    @classmethod
+    def _of(cls, c: _TailClass) -> ProductTerm:
+        # the term of a one-term class, shared, not copied or checked
+        t = cls.__new__(cls)
+        t._class = c
+        return t
 
     @property
     def coeff(self) -> complex:
-        return self._coeff
+        return complex(self._class.coeff[0])
 
     @property
     def tail(self) -> np.ndarray:
-        return self._tail
+        return self._class.tail
 
     @property
     def dim(self) -> int:
-        return self._tail.size
+        return self._class.tail.size
 
     @property
     def prefix_len(self) -> int:
-        return int(self._slots.max(initial=0))
+        return int(self._class.slots.max(initial=0))
 
     def slot(self, alpha: int) -> np.ndarray:
         """Slot vector at 1-based position ``alpha`` (the tail if not edited)."""
-        if alpha < 1:
-            raise ValueError("slot positions are 1-based")
-        hit = np.flatnonzero(self._slots == alpha)
-        return self._vecs[hit[0]] if hit.size else self._tail
+        a = _integer(alpha)
+        if a is None or a < 1:
+            raise ValueError(f"slot positions are 1-based integers, got {alpha!r}")
+        hit = np.flatnonzero(self._class.slots == a)
+        return self._class.vecs[hit[0]] if hit.size else self._class.tail
 
     def __repr__(self) -> str:
         return (
             f"ProductTerm(dim={self.dim}, prefix_len={self.prefix_len}, "
-            f"coeff={self._coeff:.6g})"
+            f"coeff={self.coeff:.6g})"
         )
-
-
-def _view(coeff, slots, vecs, tail) -> ProductTerm:
-    # a term over the given arrays, shared, not copied or checked
-    u = ProductTerm.__new__(ProductTerm)
-    u._coeff, u._slots, u._vecs, u._tail = coeff, slots, vecs, tail
-    return u
 
 
 def _edited(t: ProductTerm, coeff: complex, alpha: int, v) -> ProductTerm:
     # t with coefficient coeff and slot alpha set to v (in place if t edits
     # it, else as its last edit); v is not checked
-    c = _with_slot(_class_of_terms([t]), np.zeros(1, dtype=np.int64), np.array([alpha]),
-                   np.asarray(v, dtype=np.complex128), np.array([coeff], dtype=np.complex128))
-    return _view(coeff, c.slots, c.vecs, t._tail)
-
-
-def _class_of_terms(ts: list[ProductTerm]) -> _TailClass:
-    return _TailClass(
-        ts[0].tail,
-        np.array([t.coeff for t in ts], dtype=np.complex128),
-        np.array([t._slots.size for t in ts]),
-        np.concatenate([t._slots for t in ts]),
-        np.concatenate([t._vecs for t in ts]),
-    )
+    return ProductTerm._of(_with_slot(
+        t._class, np.zeros(1, dtype=np.int64), np.array([alpha]),
+        np.asarray(v, dtype=np.complex128), np.array([coeff], dtype=np.complex128)))
 
 
 class ProductState:
@@ -268,7 +249,7 @@ class ProductState:
             d = dim
         if d < 1:
             raise ValueError("dim must be positive")
-        self._classes = [_class_of_terms(g) for g in _by_tail(ts)]
+        self._classes = _by_tail([t._class for t in ts])
         self._dim = d
 
     @classmethod
@@ -281,7 +262,8 @@ class ProductState:
     @property
     def terms(self) -> tuple[ProductTerm, ...]:
         return tuple(
-            _view(complex(c.coeff[i]), c.slots[lo:hi], c.vecs[lo:hi], c.tail)
+            ProductTerm._of(_TailClass(c.tail, c.coeff[i:i + 1], c.counts[i:i + 1],
+                                       c.slots[lo:hi], c.vecs[lo:hi]))
             for c in self._classes
             for i, (lo, hi) in enumerate(zip(c.offsets[:-1], c.offsets[1:]))
         )
@@ -339,9 +321,7 @@ def _frequency_image(psi: ProductState, kvec: np.ndarray, n: int) -> ProductStat
 def add(a: ProductState, b: ProductState) -> ProductState:
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    return ProductState._of(
-        [_concat(g) for g in _by_tail(a._classes + b._classes)], a.dim
-    )
+    return ProductState._of(_by_tail(a._classes + b._classes), a.dim)
 
 
 def scale(a: ProductState, c: complex) -> ProductState:

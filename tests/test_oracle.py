@@ -643,6 +643,34 @@ def test_property_frequency_image_of_edited_terms_matches_dense(a0, a1, k, rotat
     npt.assert_allclose(dense_embed(image, _WINDOW).amps, direct.amps, atol=1e-12)
 
 
+def _hex(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(edited_states(0), edited_states(1), st.integers(1, _WINDOW + 1), _entry, _entry)
+def test_property_terms_rebuild_the_class_records_bit_for_bit(a0, a1, alpha, re, im):
+    a = add(a0, a1)
+    rebuilt = ProductState(a.terms)
+    assert len(rebuilt._classes) == len(a._classes) == 2
+    for c, r in zip(a._classes, rebuilt._classes):
+        for field in ("coeff", "counts", "slots", "vecs", "tail"):
+            x, y = getattr(c, field), getattr(r, field)
+            assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+    assert _hex(inner_infinite(rebuilt, rebuilt)) == _hex(inner_infinite(a, a))
+    # a term read off a class and the same vector built slot by slot edit alike
+    v = np.array([complex(re, im), complex(im, re)])
+    for t in a.terms:
+        u = ProductTerm(t.coeff, [t.slot(b) for b in range(1, t.prefix_len + 1)], t.tail)
+        et, eu = _edited(t, 2.0 * t.coeff, alpha, v), _edited(u, 2.0 * t.coeff, alpha, v)
+        assert _hex(et.coeff) == _hex(eu.coeff) == _hex(2.0 * t.coeff)
+        assert et.tail.tobytes() == eu.tail.tobytes() == t.tail.tobytes()
+        assert et.prefix_len == eu.prefix_len == max(t.prefix_len, alpha)
+        assert et.slot(alpha).tobytes() == v.tobytes()
+        for b in range(1, _WINDOW + 3):
+            assert et.slot(b).tobytes() == eu.slot(b).tobytes()
+
+
 def _freqop_imports(module):
     """The names of the freqop modules that ``module`` imports."""
     tree = ast.parse(Path(oracle.__file__).with_name(f"{module}.py").read_text())

@@ -70,6 +70,19 @@ def test_slot_indexing():
         t.slot(0)
 
 
+@pytest.mark.parametrize("alpha", [True, np.True_, 1.5, np.float64(1.0), "1", None, -1])
+def test_a_slot_position_is_an_integer(alpha):
+    t = term(1.0, (E1, DIAG), E0)
+    with pytest.raises(ValueError, match="1-based"):
+        t.slot(alpha)
+
+
+def test_a_numpy_slot_position_is_read_as_an_int():
+    t = term(1.0, (E1, DIAG), E0)
+    npt.assert_array_equal(t.slot(np.int64(2)), DIAG)
+    npt.assert_array_equal(t.slot(np.uint8(3)), E0)
+
+
 def test_empty_state_needs_dim():
     with pytest.raises(ValueError, match="dim"):
         ProductState([])
