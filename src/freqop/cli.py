@@ -5,7 +5,9 @@ stderr. Exit codes: 0 all checks passed, 1 a verification failed, 2
 malformed input, 3 an internal error (traceback on stderr). Floats in CSV
 carry 17 significant digits, so values round-trip exactly. ``converge`` and
 ``sample`` share the preparation options ``--state FILE`` or ``--amps``
-(exactly one), ``--normalize`` and ``--basis FILE``.
+(exactly one), ``--normalize`` and ``--basis FILE``. Each command imports
+its route's names in its own body, so a process loads only the route it
+runs and a patch on a route's home module reaches the command.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import csv
 import dataclasses
 import enum
 import functools
-import importlib
 import itertools
 import json
 import math
@@ -28,28 +29,6 @@ from . import io
 from .hilbert import DEFAULT_SEED, SEED_MAX, SPECTRUM_TOL, VERIFY_TOL, StateVector, judge
 
 SCHEMA_VERSION = 1
-
-
-def _lazy(module: str, name: str):
-    """``module.name``, imported at its first call, so a command loads only
-    the route it runs; each call reads whatever the module then binds."""
-    def call(*args, **kwargs):
-        route = importlib.import_module(f".{module}", __package__)
-        return getattr(route, name)(*args, **kwargs)
-    return call
-
-
-FrequencySpec = _lazy("frequency", "FrequencySpec")
-deviation_norm = _lazy("frequency", "deviation_norm")
-dense_spectrum = _lazy("oracle", "dense_spectrum")
-max_abs_z = _lazy("sampling", "max_abs_z")
-sample_ensemble = _lazy("sampling", "sample_ensemble")
-epr_check = _lazy("scenarios", "epr_check")
-wigner_friend_check = _lazy("scenarios", "wigner_friend_check")
-SequentialSpec = _lazy("sequential", "SequentialSpec")
-succession_frequency = _lazy("sequential", "succession_frequency")
-succession_probabilities = _lazy("sequential", "succession_probabilities")
-run_all = _lazy("verify", "run_all")
 
 
 def _cell(v) -> str:
@@ -161,18 +140,17 @@ def _parse_complex(text: str, what: str) -> complex:
 
 
 def _parse_amps(text: str) -> list[complex]:
-    entries = [e for e in text.split(";") if e.strip()]
-    if not entries:
+    if not text.strip():
         raise click.UsageError("--amps is empty")
-    return [_parse_complex(e, f"--amps entry {i}") for i, e in enumerate(entries)]
+    return [_parse_complex(e, f"--amps entry {i}") for i, e in enumerate(text.split(";"))]
 
 
 def _parse_ns(text: str) -> list[int]:
     try:
-        ns = [int(x) for x in text.split(",") if x.strip()]
+        ns = [int(x) for x in text.split(",")]
     except ValueError:
         raise click.UsageError(f"--ns must be comma-separated integers, got {text!r}")
-    if not ns or any(n < 1 for n in ns):
+    if any(n < 1 for n in ns):
         raise click.UsageError("--ns needs at least one positive integer")
     return ns
 
@@ -265,6 +243,7 @@ def converge(s, basis, k, ns, tolerance, fmt):
     their squared-value mismatch. Exits 1 when a mismatch exceeds the
     tolerance.
     """
+    from .frequency import FrequencySpec, deviation_norm
     sizes = _parse_ns(ns)
     with _usage_errors():
         reports = [
@@ -293,6 +272,7 @@ def spectrum(dim, slots, k, tolerance, fmt):
     otherwise. Sizes with d**N above the dense-matrix cap, or N above 20,
     are rejected.
     """
+    from .oracle import dense_spectrum
     with _usage_errors():
         eigs = dense_spectrum(k, slots, dim)
     rows = []
@@ -325,6 +305,7 @@ def sequential(h_path, dt, m, n, successions, tolerance, fmt):
     successions, and the completeness error of the full q distribution.
     Exits 1 when the identity or completeness fails the tolerance.
     """
+    from .sequential import SequentialSpec, succession_frequency, succession_probabilities
     with _usage_errors():
         h = io.load_hermitian(h_path)
         spec = SequentialSpec(h, dt, m, n, successions)
@@ -362,6 +343,7 @@ def epr(alpha, beta, fmt):
     "up" the pair must be the product |up>|down>, with "second spin down"
     true. Exits 1 if that fails.
     """
+    from .scenarios import epr_check
     a = _parse_complex(alpha, "--alpha")
     b = _parse_complex(beta, "--beta")
     with _usage_errors():
@@ -388,6 +370,7 @@ def wigner(alpha, beta, fmt):
     descriptions assign to the object propositions. Exits 1 on any
     disagreement.
     """
+    from .scenarios import wigner_friend_check
     a = _parse_complex(alpha, "--alpha")
     b = _parse_complex(beta, "--beta")
     with _usage_errors():
@@ -413,6 +396,7 @@ def sample(s, basis, n_samples, seed, fmt):
     One row per outcome: weight, count, empirical frequency, z-score.
     Deterministic for a fixed seed.
     """
+    from .sampling import max_abs_z, sample_ensemble
     with _usage_errors():
         record = sample_ensemble(s, n_samples, seed, basis)
     header = ["outcome", "probability", "count", "empirical_freq", "z_score"]
@@ -437,6 +421,7 @@ def verify_all(seed, tolerance):
     Output is byte-identical for identical arguments. Exits 0 only when
     every suite reports zero failures.
     """
+    from .verify import run_all
     results = run_all(seed=seed, tolerance=tolerance)
     total_cases = sum(r.cases for r in results)
     total_failures = sum(r.failures for r in results)

@@ -99,10 +99,10 @@ def matrix_array_from_dict(obj: Any) -> np.ndarray:
     dim, rows = _header(obj, "matrix", "rows")
     if not isinstance(rows, list) or len(rows) != dim:
         raise ValueError(f'"rows" must be a list of {dim} rows')
-    out = np.empty((dim, dim), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        out[i] = _pairs(row, dim, f"row {i}", f"rows[{i}]")
-    return out
+    # every row is read before the dim x dim array exists, so a file of
+    # short rows is refused without allocating dim**2 entries
+    return np.array([_pairs(row, dim, f"row {i}", f"rows[{i}]") for i, row in enumerate(rows)],
+                    dtype=np.complex128)
 
 
 def _read_json(path: str) -> Any:

@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io as _io
 import json
 import math
@@ -66,13 +67,13 @@ def test_converge_tight_tolerance_fails(runner):
 
 def test_converge_reports_a_route_error_as_a_failed_check(runner, monkeypatch):
     # the failure path must not depend on how the route happens to round
-    from freqop.cli import deviation_norm
+    from freqop.frequency import deviation_norm
 
     def off_by_1e6(spec, s):
         rep = deviation_norm(spec, s)
         return replace(rep, deviation_exact=math.sqrt(rep.deviation_closed**2 + 1e-6))
 
-    monkeypatch.setattr("freqop.cli.deviation_norm", off_by_1e6)
+    monkeypatch.setattr("freqop.frequency.deviation_norm", off_by_1e6)
     result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "0"])
     assert result.exit_code == 1
     assert "FAIL at 1e-10" in result.stderr
@@ -84,7 +85,7 @@ def test_converge_reports_a_route_error_as_a_failed_check(runner, monkeypatch):
 def test_a_nan_route_error_fails_verify_all_and_converge(runner, monkeypatch, tmp_path):
     # nan > tol is False and max(0.0, nan) is 0.0, so a NaN must be judged
     # as a failure on purpose, not left to vanish from the count
-    from freqop.cli import deviation_norm
+    from freqop.frequency import deviation_norm
 
     def nan_route(spec, s, **kwargs):
         return replace(deviation_norm(spec, s, **kwargs), deviation_exact=math.nan)
@@ -96,7 +97,7 @@ def test_a_nan_route_error_fails_verify_all_and_converge(runner, monkeypatch, tm
     suites = {r["suite"]: r for r in strict_loads(result.stdout)["suites"]}
     assert suites["deviation-identity"]["failures"] > 0
     assert suites["deviation-identity"]["max_error"] is None
-    monkeypatch.setattr("freqop.cli.deviation_norm", nan_route)
+    monkeypatch.setattr("freqop.frequency.deviation_norm", nan_route)
     result = runner.invoke(main, ["converge", "--amps", "0.6;0.8", "--k", "0"])
     assert result.exit_code == 1
     assert "FAIL" in result.stderr
@@ -140,6 +141,32 @@ def test_converge_rejects_two_state_sources(runner, tmp_path):
 def test_converge_rejects_bad_amps(runner):
     result = runner.invoke(main, ["converge", "--amps", "zero;one", "--k", "0"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("amps, ns", [
+    ("0.6;;0.8", "1,4"), ("0.6;0.8;", "1,4"), (";0.6;0.8", "1,4"),
+    ("0.6;0.8", "1,,4"), ("0.6;0.8", "4,"),
+])
+def test_an_empty_amps_or_ns_entry_is_refused(runner, amps, ns):
+    # a dropped entry made a missing amplitude into another normalized state
+    args = ["converge", "--amps", amps, "--k", "0", "--ns", ns]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, args
+    assert result.stdout == ""
+
+
+def test_a_matrix_file_of_short_rows_is_refused_before_allocating(runner, tmp_path):
+    # the 25000 x 25000 array (9.3 GiB) was allocated before row 0 was read
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"dim": 25000, "rows": [[]] * 25000}))
+    for args in (["sequential", "--hamiltonian", str(path), "--dt", "0.5", "--m", "0",
+                  "--n", "1"],
+                 ["converge", "--amps", "0.6;0.8", "--k", "0", "--basis", str(path)],
+                 ["sample", "--amps", "0.6;0.8", "--basis", str(path)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert result.stdout == ""
+        assert "Error: row 0 must be a list of 25000 [re, im] pairs\n" in result.stderr
 
 
 def test_converge_rejects_a_basis_of_another_dimension(runner, tmp_path):
@@ -383,11 +410,51 @@ def test_internal_error_exits_3(runner, monkeypatch):
     def crash(seed, tolerance):
         raise RuntimeError("internal fault")
 
-    monkeypatch.setattr("freqop.cli.run_all", crash)
+    monkeypatch.setattr("freqop.verify.run_all", crash)
     result = runner.invoke(main, ["verify-all"])
     assert result.exit_code == 3
     assert result.stdout == ""
     assert "RuntimeError: internal fault" in result.stderr
+
+
+# each command's route at its home module, and arguments that run it
+_ROUTES = {
+    "converge": ("frequency", "deviation_norm", ["--amps", "0.6;0.8", "--k", "0"]),
+    "spectrum": ("oracle", "dense_spectrum", ["-d", "2", "--slots", "3", "--k", "0"]),
+    "sequential": ("sequential", "succession_frequency",
+                   ["--hamiltonian", "{h}", "--dt", "0.5", "--m", "0", "--n", "1"]),
+    "epr": ("scenarios", "epr_check", []),
+    "wigner": ("scenarios", "wigner_friend_check", []),
+    "sample": ("sampling", "sample_ensemble", ["--amps", "0.6;0.8", "--n", "1000"]),
+    "verify-all": ("verify", "run_all", []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_ROUTES))
+def test_a_patch_on_a_route_at_its_home_reaches_the_command(runner, monkeypatch, tmp_path,
+                                                            command):
+    # the tracer counts a command's route by wrapping it in its home module
+    module, name, args = _ROUTES[command]
+    path = tmp_path / "h.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "rows": [[[0.0, 0.0], [1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+    }))
+    args = [command, *(a.format(h=path) for a in args)]
+    plain = runner.invoke(main, args)
+    home = importlib.import_module(f"freqop.{module}")
+    route = getattr(home, name)
+    calls = []
+
+    def recorder(*a, **kw):
+        calls.append(a)
+        return route(*a, **kw)
+
+    monkeypatch.setattr(home, name, recorder)
+    patched = runner.invoke(main, args)
+    assert calls
+    assert patched.exit_code == plain.exit_code == 0, plain.output
+    assert patched.stdout == plain.stdout
 
 
 @pytest.mark.parametrize(

@@ -86,7 +86,7 @@ def run_case(name: str, tmp_path: Path, monkeypatch) -> tuple[int, bytes]:
     for key, obj in FILES.items():
         paths[key] = tmp_path / f"{key}.json"
         paths[key].write_text(json.dumps(obj), encoding="utf-8")
-    monkeypatch.setattr("freqop.cli.run_all", lambda seed, tolerance: SUITES)
+    monkeypatch.setattr("freqop.verify.run_all", lambda seed, tolerance: SUITES)
     args = [a.format(**paths) for a in CASES[name][0]]
     result = CliRunner().invoke(main, args)
     return result.exit_code, result.stdout_bytes

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -64,6 +65,19 @@ def test_state_from_dict_norm_gate():
 def test_matrix_from_dict_rejects_ragged():
     with pytest.raises(ValueError, match="rows"):
         io.matrix_array_from_dict({"dim": 2, "rows": [[[1.0, 0.0]]]})
+
+
+def test_a_matrix_of_short_rows_is_refused_before_its_array_exists():
+    # 25000**2 entries are 9.3 GiB; row 0 is refused before any of them exists
+    obj = {"dim": 25000, "rows": [[]] * 25000}
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^row 0 must be a list of 25000 \[re, im\] pairs$"):
+            io.matrix_array_from_dict(obj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_load_state_file(tmp_path):
